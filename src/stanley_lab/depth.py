@@ -15,8 +15,9 @@ from itertools import combinations
 
 from .errors import InputError, UndefinedValueError
 from .graphs import Graph
-from .monomials import Multidegree, as_degree, iter_box, members_in_box
-from .stanley import ModulePresentation
+from .monomials import Multidegree, as_degree, iter_box
+from .stanley import ModulePresentation, basis_in_box
+from .stanley import generator_corner as scan_corner  # homology lives inside this box
 
 
 def rank_int(rows: list[list[int]]) -> int:
@@ -55,22 +56,6 @@ class HomologyProfile:
     def depth(self) -> int:
         top = max(i for i, r in enumerate(self.ranks) if r > 0)
         return self.n - top
-
-
-def scan_corner(module: ModulePresentation) -> Multidegree:
-    """Componentwise maximum generator exponent of both ideals."""
-    corner = [0] * module.n
-    for gens in (module.lower.gens, module.upper.gens):
-        for g in gens:
-            for j, e in enumerate(g):
-                corner[j] = max(corner[j], e)
-    return tuple(corner)
-
-
-def _basis_table(module: ModulePresentation, corner: Multidegree) -> set[Multidegree]:
-    return members_in_box(module.upper, corner) - members_in_box(
-        module.lower, corner
-    )
 
 
 def _chains(
@@ -127,7 +112,7 @@ def koszul_rank(module: ModulePresentation, a: Multidegree, i: int) -> int:
     corner = scan_corner(module)
     if any(x > y for x, y in zip(deg, corner)):
         return 0
-    basis = _basis_table(module, corner)
+    basis = basis_in_box(module, corner)
     mid = _chains(basis, deg, i, n)
     below = _chains(basis, deg, i - 1, n) if i >= 1 else []
     above = _chains(basis, deg, i + 1, n) if i + 1 <= n else []
@@ -142,7 +127,7 @@ def homology_profile(module: ModulePresentation) -> HomologyProfile:
         raise UndefinedValueError("the zero module has no depth")
     n = module.n
     corner = scan_corner(module)
-    basis = _basis_table(module, corner)
+    basis = basis_in_box(module, corner)
     totals = [0] * (n + 1)
     for a in iter_box(corner):
         chains = [_chains(basis, a, size, n) for size in range(n + 1)]

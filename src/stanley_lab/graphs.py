@@ -13,7 +13,7 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as cartesian
+from itertools import combinations, product as cartesian
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -275,18 +275,38 @@ def _prufer_to_edges(seq: Sequence[int], n: int) -> list[Edge]:
     return edges
 
 
-def canonical_edge_form(g: Graph) -> tuple:
-    """Isomorphism invariant for small graphs: lexicographically least relabeling."""
-    verts = sorted(g.vertices)
-    best = None
-    for perm in permutations(verts):
-        relabel = dict(zip(verts, perm))
-        form = tuple(
-            sorted(tuple(sorted((relabel[i], relabel[j]))) for i, j in g.edges)
-        )
-        if best is None or form < best:
-            best = form
-    return (len(verts), best)
+def canonical_tree_form(g: Graph) -> str:
+    """Isomorphism invariant of a tree: its least AHU code rooted at a center.
+
+    Peeling leaves layer by layer leaves the one or two centers, which every
+    isomorphism preserves.  The AHU code of a rooted tree (Aho-Hopcroft-Ullman)
+    is "(" + the sorted codes of the child subtrees + ")".
+    """
+    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    if len(g.edges) != len(adj) - 1:
+        raise InputError(f"not a tree: {len(adj)} vertices and {len(g.edges)} edges")
+    degree = {v: len(ws) for v, ws in adj.items()}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(adj)
+    while left > 2:
+        if not layer:
+            raise InputError("not a tree: it has a cycle")
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    nxt.append(w)
+        layer = nxt
+
+    def code(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(w, v) for w in adj[v] if w != parent)) + ")"
+
+    return min(code(c, 0) for c in layer)
 
 
 def enumerate_trees(n: int, up_to_iso: bool = True) -> list[Graph]:
@@ -302,7 +322,7 @@ def enumerate_trees(n: int, up_to_iso: bool = True) -> list[Graph]:
     for seq in cartesian(range(1, n + 1), repeat=n - 2):
         g = Graph.make(n, _prufer_to_edges(seq, n))
         if up_to_iso:
-            key = canonical_edge_form(g)
+            key = canonical_tree_form(g)
             if key in seen:
                 continue
             seen.add(key)

@@ -9,13 +9,21 @@ operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as lattice_product
+from itertools import compress, product as lattice_product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 
 Multidegree = tuple[int, ...]
+
+# Most points a Box may have (2 MiB per bitset): larger boxes fail fast
+# instead of exhausting memory or time.
+BOX_POINT_CAP = 1 << 24
+
+# Maps the '0'/'1' digits of a bitset's binary string to falsy/truthy bytes.
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def as_degree(exponents: Sequence[int], n: int | None = None) -> Multidegree:
@@ -195,20 +203,102 @@ def _as_labels(labels: Sequence[int], n: int) -> tuple[int, ...]:
     return labs
 
 
+def _tile(block: int, width: int, count: int) -> int:
+    """``count`` copies of ``block``, each ``width`` bits above the last."""
+    out = offset = 0
+    while count:
+        if count & 1:
+            out |= block << offset
+            offset += width
+        block |= block << width
+        width <<= 1
+        count >>= 1
+    return out
+
+
+class Box:
+    """The box [0, corner] with its points numbered as the bits of one integer.
+
+    Point a is bit ``sum(a_j * strides[j])`` for mixed-radix strides in which
+    coordinate 0 is the most significant digit, so the order of the bits is
+    the lexicographic order of ``iter_box``.  ``masks[j]`` holds the points
+    with a_j >= 1: shifting a set of points up by ``strides[j]`` and masking
+    moves each point a to a + e_j and drops those that leave the box.
+    Boxes over ``BOX_POINT_CAP`` points raise BudgetExceededError.
+    """
+
+    __slots__ = ("corner", "strides", "size", "masks")
+
+    def __init__(self, corner: Multidegree) -> None:
+        size = math.prod(c + 1 for c in corner)
+        if size > BOX_POINT_CAP:
+            raise BudgetExceededError(
+                f"box {list(corner)} has {size} points, over the cap of {BOX_POINT_CAP}"
+            )
+        strides = []
+        step = 1
+        for c in reversed(corner):
+            strides.append(step)
+            step *= c + 1
+        strides.reverse()
+        self.corner = tuple(corner)
+        self.strides = tuple(strides)
+        self.size = size
+        # One period of axis j is s*(c+1) bits; its top s*c bits have a_j >= 1.
+        self.masks = tuple(
+            _tile(((1 << s * c) - 1) << s, s * (c + 1), size // (s * (c + 1)))
+            for s, c in zip(strides, corner)
+        )
+
+    def index(self, a: Multidegree) -> int:
+        return sum(x * s for x, s in zip(a, self.strides))
+
+    def lowest(self, bits: int) -> Multidegree:
+        """The lexicographically least point of a nonempty set."""
+        i = (bits & -bits).bit_length() - 1
+        out = []
+        for s in self.strides:
+            q, i = divmod(i, s)
+            out.append(q)
+        return tuple(out)
+
+    def points(self, bits: int) -> Iterator[Multidegree]:
+        """The points of a set, in lexicographic order."""
+        selectors = format(bits, "b").zfill(self.size)[::-1].encode().translate(_SELECT)
+        return compress(iter_box(self.corner), selectors)
+
+    def up(self, gens: Iterable[Multidegree]) -> int:
+        """The points above some generator; generators outside the box are ignored."""
+        bits = 0
+        for g in gens:
+            if all(x <= c for x, c in zip(g, self.corner)):
+                bits |= 1 << self.index(g)
+        for s, c, mask in zip(self.strides, self.corner, self.masks):
+            for _ in range(c):
+                bits |= (bits << s) & mask
+        return bits
+
+    def cone(self, u: Multidegree, axes: Iterable[int]) -> int:
+        """The points equal to u off ``axes`` (0-based) and >= u on them; u in the box."""
+        bits = 1 << self.index(u)
+        for j in axes:
+            bits = _tile(bits, self.strides[j], self.corner[j] - u[j] + 1)
+        return bits
+
+
 def members_in_box(ideal: MonomialIdeal, corner: Multidegree) -> set[Multidegree]:
     """All multidegrees a <= corner with x^a in the ideal.
 
-    Dynamic programming over the box: a is a member iff a is a generator or
-    a - e_j is a member for some positive coordinate j.  Linear in the box
-    size, independent of the number of generators.
+    Point a of the box is bit sum(a_j * s_j) of one integer, with mixed-radix
+    strides s_j in which coordinate 0 is the most significant digit (see
+    ``Box``), so bit order is the lexicographic order of ``iter_box``.  The
+    members are the bits of the in-box generators closed upward along each
+    axis j by c_j steps of ``bits |= (bits << s_j) & mask_j``: sum(c_j)
+    shift-and-mask operations on one integer of prod(c_j + 1) bits,
+    independent of the number of generators.  Generators outside the box add
+    nothing, as their multiples all leave it.  Boxes over ``BOX_POINT_CAP``
+    points raise BudgetExceededError before anything is allocated.
     """
     corner = as_degree(corner, ideal.n)
-    genset = frozenset(ideal.gens)
-    members: set[Multidegree] = set()
-    for a in iter_box(corner):
-        if a in genset or any(
-            e > 0 and a[:j] + (e - 1,) + a[j + 1 :] in members
-            for j, e in enumerate(a)
-        ):
-            members.add(a)
-    return members
+    box = Box(corner)
+    return set(box.points(box.up(ideal.gens)))

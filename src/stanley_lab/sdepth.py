@@ -22,8 +22,14 @@ from dataclasses import dataclass
 from itertools import product as lattice_product
 
 from .errors import BudgetExceededError, InputError, UndefinedValueError
-from .monomials import Multidegree, members_in_box
-from .stanley import ModulePresentation, StanleyDecomposition, StanleySpace
+from .monomials import Multidegree
+from .stanley import (
+    ModulePresentation,
+    StanleyDecomposition,
+    StanleySpace,
+    basis_in_box,
+    generator_corner,
+)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -49,17 +55,10 @@ class CharacteristicPoset:
 def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     if module.is_zero():
         raise UndefinedValueError("the zero module has no Stanley depth")
-    n = module.n
-    corner = [0] * n
-    for gens in (module.lower.gens, module.upper.gens):
-        for gen in gens:
-            for j, e in enumerate(gen):
-                corner[j] = max(corner[j], e)
-    g = tuple(corner)
-    free = frozenset(j + 1 for j in range(n) if g[j] == 0)
-    members = members_in_box(module.upper, g) - members_in_box(module.lower, g)
-    elements = tuple(sorted(members, key=_grlex))
-    return CharacteristicPoset(n, g, free, elements)
+    g = generator_corner(module)
+    free = frozenset(j + 1 for j, e in enumerate(g) if e == 0)
+    elements = tuple(sorted(basis_in_box(module, g), key=_grlex))
+    return CharacteristicPoset(module.n, g, free, elements)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ threshold, and the box corner exceeds all thresholds by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as lattice_product
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InputError
 from .monomials import (
+    Box,
     MonomialIdeal,
     Multidegree,
     as_degree,
@@ -89,6 +90,13 @@ class ModulePresentation:
             )
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed module JSON: {obj!r}") from exc
+
+
+def generator_corner(module: ModulePresentation) -> Multidegree:
+    """Componentwise maximum generator exponent of both ideals."""
+    return tuple(
+        max(col) for col in zip((0,) * module.n, *module.lower.gens, *module.upper.gens)
+    )
 
 
 def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multidegree]:
@@ -167,49 +175,46 @@ class VerificationReport:
 
 
 def _verification_box(dec: StanleyDecomposition) -> Multidegree:
-    n = dec.module.n
-    corner = [0] * n
-    for gens in (dec.module.lower.gens, dec.module.upper.gens):
-        for g in gens:
-            for j, e in enumerate(g):
-                corner[j] = max(corner[j], e)
-    for s in dec.spaces:
-        for j, e in enumerate(s.u):
-            corner[j] = max(corner[j], e)
-    return tuple(c + 1 for c in corner)
+    shifts = (s.u for s in dec.spaces)
+    return tuple(max(col) + 1 for col in zip(generator_corner(dec.module), *shifts))
 
 
 def verify(dec: StanleyDecomposition) -> VerificationReport:
     """Check that the spaces partition the module basis exactly.
 
     The check runs over the box [0, B] with B_j one above every generator
-    exponent and every shift exponent in coordinate j.  Clamping any
-    multidegree into the box preserves all membership predicates, so agreement
-    on the box implies agreement everywhere.
+    exponent and every shift exponent in coordinate j (Herzog-Vladoiu-Zheng).
+    Clamping any multidegree into the box preserves all membership
+    predicates, so agreement on the box implies agreement everywhere.
+
+    The box is a ``Box`` bitset whose bit order is the lexicographic order of
+    its points.  The basis is ``up(upper) & ~up(lower)``, and a space (u, Z)
+    is the sub-box ``(1 << index(u)) * prod_{j in Z} repunit_j`` (no carries:
+    its points have distinct bits).  Spaces are checked in order against the
+    basis points not yet covered; the first bad space reports its lowest bad
+    bit, which is the lexicographically first of its points that is outside
+    the module or already covered.  That is the point, and the failure kind,
+    at which a point-by-point walk of the spaces in order would stop; an
+    uncovered witness is likewise the least uncovered basis point.  Boxes over
+    ``BOX_POINT_CAP`` points raise BudgetExceededError before any allocation.
     """
     n = dec.module.n
     for s in dec.spaces:
-        if len(s.u) != n:
-            raise InputError(f"space shift {s.u} has wrong length for ambient {n}")
+        as_degree(s.u, n)  # raises InputError on a wrong length or a negative exponent
         if not s.Z <= frozenset(range(1, n + 1)):
             raise InputError(f"space variables {sorted(s.Z)} out of range 1..{n}")
-    corner = _verification_box(dec)
-    basis = basis_in_box(dec.module, corner)
-    covered: set[Multidegree] = set()
+    box = Box(_verification_box(dec))
+    basis = box.up(dec.module.upper.gens) & ~box.up(dec.module.lower.gens)
+    remaining = basis
     for s in dec.spaces:
-        ranges = [
-            range(s.u[j], corner[j] + 1) if j + 1 in s.Z else range(s.u[j], s.u[j] + 1)
-            for j in range(n)
-        ]
-        for a in lattice_product(*ranges):
-            if a not in basis:
-                return VerificationReport(False, None, a, "outside-module")
-            if a in covered:
-                return VerificationReport(False, None, a, "double-covered")
-            covered.add(a)
-    if len(covered) != len(basis):
-        witness = min(basis - covered)
-        return VerificationReport(False, None, witness, "uncovered")
+        cone = box.cone(s.u, (z - 1 for z in s.Z))
+        bad = cone & ~remaining
+        if bad:
+            failure = "double-covered" if bad & -bad & basis else "outside-module"
+            return VerificationReport(False, None, box.lowest(bad), failure)
+        remaining ^= cone
+    if remaining:
+        return VerificationReport(False, None, box.lowest(remaining), "uncovered")
     return VerificationReport(True, dec.sdepth())
 
 
@@ -263,9 +268,7 @@ def concat(
     Directness is not assumed; the assembled certificate is meant to be
     re-checked with ``verify``.
     """
-    spaces: tuple[StanleySpace, ...] = ()
-    for d in decs:
-        spaces = spaces + d.spaces
+    spaces = tuple(chain.from_iterable(d.spaces for d in decs))
     return StanleyDecomposition(module, spaces)
 
 

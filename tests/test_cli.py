@@ -1,15 +1,23 @@
 """End-to-end CLI behavior: exit codes, JSON round-trips, tamper detection."""
 
 import json
+import os
 import subprocess
 import sys
 
+import stanley_lab
+
 CLI = [sys.executable, "-m", "stanley_lab"]
+# The CLI process imports the same package as this one, installed or not.
+SRC = os.path.dirname(os.path.dirname(stanley_lab.__file__))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+)}
 
 
 def run(*args, **kw):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, **kw
+        CLI + list(args), capture_output=True, text=True, env=ENV, **kw
     )
 
 
@@ -56,6 +64,15 @@ def test_verify_detects_tampering(tmp_path):
     assert out.returncode == 1
     assert "INVALID" in out.stdout
     assert "uncovered" in out.stdout
+
+
+def test_verify_huge_box_exits_on_budget(tmp_path):
+    cert = tmp_path / "cert.json"
+    module = {"n": 3, "lower_gens": [[1000, 1000, 1000]], "upper_gens": [[0, 0, 0]]}
+    cert.write_text(json.dumps({"module": module, "spaces": [{"u": [0, 0, 0], "Z": [1, 2]}]}))
+    out = run("verify", str(cert), timeout=30)  # a 10^9-point box would hang far longer
+    assert out.returncode == 3
+    assert "budget exceeded" in out.stderr
 
 
 def test_construct_emits_reparseable_json(tmp_path):

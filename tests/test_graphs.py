@@ -3,7 +3,7 @@
 import pytest
 
 from stanley_lab import Graph, InputError, disjoint_union, parse_graph, preset
-from stanley_lab.graphs import canonical_edge_form, enumerate_labeled_graphs, enumerate_trees
+from stanley_lab.graphs import canonical_tree_form, enumerate_labeled_graphs, enumerate_trees
 
 
 def brute_has_odd_cycle(graph, comp):
@@ -141,4 +141,26 @@ def test_enumerate_trees_up_to_iso_counts():
 def test_canonical_form_identifies_isomorphic():
     a = Graph.make(3, [(1, 2), (2, 3)])
     b = Graph.make(3, [(1, 3), (2, 3)])
-    assert canonical_edge_form(a) == canonical_edge_form(b)
+    assert canonical_tree_form(a) == canonical_tree_form(b)
+
+
+def test_canonical_tree_form_separates_trees():
+    spider = Graph.make(5, [(1, 2), (2, 3), (1, 4), (1, 5)])
+    forms = {canonical_tree_form(t) for t in (preset("path:5"), preset("star:4"), spider)}
+    assert len(forms) == 3
+
+
+def test_canonical_tree_form_rejects_non_trees():
+    for g in (preset("cycle:4"), parse_graph("cycle:3+path:1")):
+        with pytest.raises(InputError):
+            canonical_tree_form(g)
+
+
+def test_enumerate_trees_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    ours = [nx.Graph(list(t.edges)) for t in enumerate_trees(7)]
+    assert len(ours) == 11
+    theirs = list(nx.nonisomorphic_trees(7))
+    assert len(theirs) == 11
+    for t in theirs:
+        assert sum(nx.is_isomorphic(t, o) for o in ours) == 1

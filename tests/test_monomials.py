@@ -4,10 +4,10 @@ the generating-set identities for disjoint-support pairs."""
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stanley_lab import InputError, MonomialIdeal, divides, minimalize
-from stanley_lab.monomials import members_in_box
+from stanley_lab import BudgetExceededError, InputError, MonomialIdeal, divides, minimalize
+from stanley_lab.monomials import iter_box, members_in_box
 
 P3 = MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)])
 
@@ -105,6 +105,11 @@ def test_members_in_box_matches_contains():
         assert (a in members) == brute_contains(P3**2, a)
 
 
+def test_members_in_box_caps_the_box():
+    with pytest.raises(BudgetExceededError):
+        members_in_box(MonomialIdeal.make(3, [(1, 1, 1)]), (1000, 1000, 1000))
+
+
 def test_json_roundtrip():
     obj = (P3**2).to_json()
     assert obj == {"n": 3, "gens": [[0, 2, 2], [1, 2, 1], [2, 2, 0]]}
@@ -133,6 +138,23 @@ def disjoint_pairs(draw):
     left = MonomialIdeal.make(4, [g + (0, 0) for g in lgens if any(g)] or [(1, 1, 0, 0)])
     right = MonomialIdeal.make(4, [(0, 0) + g for g in rgens if any(g)] or [(0, 0, 1, 1)])
     return left, right
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(*(st.integers(0, 3) for _ in range(3))), max_size=4).map(
+        lambda gens: MonomialIdeal.make(3, gens)
+    ),
+    st.tuples(*(st.integers(0, 2) for _ in range(3))),
+)
+@example(MonomialIdeal.zero(3), (2, 1, 2))
+@example(MonomialIdeal.unit(3), (2, 0, 1))
+@example(MonomialIdeal.unit(3), (0, 0, 0))
+@example(MonomialIdeal.make(3, [(2, 2, 2), (0, 3, 0)]), (2, 2, 1))
+def test_members_in_box_matches_bruteforce(ideal, corner):
+    # corners may be 0 on an axis, and generators may leave the box
+    expected = {a for a in iter_box(corner) if brute_contains(ideal, a)}
+    assert members_in_box(ideal, corner) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from stanley_lab import (
+    BudgetExceededError,
     InputError,
     MonomialIdeal,
     ModulePresentation,
@@ -12,8 +13,10 @@ from stanley_lab import (
     StanleySpace,
     basis_in_box,
     concat,
+    decompose_power_general,
     embed,
     free_extend,
+    parse_graph,
     shift,
     tensor,
     verify,
@@ -30,6 +33,72 @@ def brute_basis(module, corner):
         if module.upper.contains(a) and not module.lower.contains(a):
             out.add(a)
     return out
+
+
+def reference_verify(dec):
+    """The point-by-point verifier: walk every space's points in order over the
+    box one above all generator and shift exponents, against a set basis."""
+    n = dec.module.n
+    exps = (*dec.module.lower.gens, *dec.module.upper.gens, *(s.u for s in dec.spaces))
+    corner = tuple(max(col) + 1 for col in zip((0,) * n, *exps))
+    basis = brute_basis(dec.module, corner)
+    covered = set()
+    for s in dec.spaces:
+        ranges = [
+            range(s.u[j], corner[j] + 1) if j + 1 in s.Z else range(s.u[j], s.u[j] + 1)
+            for j in range(n)
+        ]
+        for a in product(*ranges):
+            if a not in basis:
+                return (False, None, a, "outside-module")
+            if a in covered:
+                return (False, None, a, "double-covered")
+            covered.add(a)
+    if covered != basis:
+        return (False, None, min(basis - covered), "uncovered")
+    return (True, dec.sdepth(), None, None)
+
+
+def perturbations(dec):
+    """Each space dropped, duplicated, shifted by +-e_j, and with each variable toggled."""
+    spaces = list(dec.spaces)
+    n = dec.module.n
+    for i, s in enumerate(spaces):
+        rest = spaces[:i] + spaces[i + 1 :]
+        yield rest
+        yield spaces[: i + 1] + [s] + spaces[i + 1 :]
+        for j in range(n):
+            for step in (1, -1):
+                u = list(s.u)
+                u[j] += step
+                if u[j] >= 0:
+                    yield rest[:i] + [StanleySpace(tuple(u), s.Z)] + rest[i:]
+            yield rest[:i] + [StanleySpace(s.u, s.Z ^ {j + 1})] + rest[i:]
+
+
+@pytest.mark.parametrize(
+    "spec,k",
+    [("path:3", 2), ("cycle:3", 2), ("star:3", 2), ("path:2+path:2", 2), ("cycle:4", 2)],
+)
+def test_verify_matches_reference_verifier(spec, k):
+    dec = decompose_power_general(parse_graph(spec), k)
+    decs = [dec] + [
+        StanleyDecomposition(dec.module, tuple(spaces)) for spaces in perturbations(dec)
+    ]
+    kinds = set()
+    for d in decs:
+        report = verify(d)
+        got = (report.valid, report.sdepth, report.witness, report.failure)
+        assert got == reference_verify(d), d.spaces
+        kinds.add(report.failure)
+    assert kinds == {None, "outside-module", "double-covered", "uncovered"}
+
+
+def test_verify_caps_the_box():
+    huge = ModulePresentation.quotient_ring(MonomialIdeal.make(3, [(1000, 1000, 1000)]))
+    dec = StanleyDecomposition(huge, (StanleySpace((0, 0, 0), frozenset({1, 2})),))
+    with pytest.raises(BudgetExceededError):
+        verify(dec)
 
 
 def test_presentation_validates_containment():
