@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundReport,
     analytic_spread_edge,
-    conjecture_check_s_mod,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
@@ -30,7 +29,6 @@ from .depth import (
     depth_by_trung,
     depth_exact,
     homology_profile,
-    koszul_rank,
     rank_int,
 )
 from .errors import (

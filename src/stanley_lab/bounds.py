@@ -88,32 +88,50 @@ def lower_sdepth_quotient_layers(graph: Graph) -> int:
 
 
 def lower_sdepth_s_mod_power(graph: Graph) -> int:
-    """Certified bound sdepth(S/I^k) >= p for every k >= 1."""
+    """Certified bound sdepth(S/I^k) >= p for every k >= 1.
+
+    This is also the target n - l(I) of the spread conjecture, which is p by
+    the definition of ``analytic_spread_edge``, so the quotient verdict
+    covers that conjecture.
+    """
     return graph.bipartite_component_count()
 
 
-def lower_sdepth_power(graph: Graph, k: int) -> int:
-    """Certified bound for sdepth(I^k), k >= 1.
+def _lifts(graph: Graph, comp: tuple[int, ...]) -> bool:
+    """Whether filtering I^k along comp reaches p + 1: comp is a tree or
+    not bipartite."""
+    return graph.is_tree(comp) or not graph.is_bipartite_component(comp)
 
-    For every component H with an edge, the filtration by H-degrees gives
-    base(H) + h(H) where h(H) counts bipartite components left after deleting
-    V(H), and base(H) is 2 for a tree (leaf-splitting recursion) and 1
-    otherwise (any nonzero monomial ideal).  The best choice of H yields p+1
-    whenever some component is non-bipartite or a tree with an edge;
-    otherwise it yields p, and no more is claimed: whether connected bipartite
-    non-tree graphs allow 2 is an open question, never encoded as a bound.
+
+def pivot_component(graph: Graph) -> tuple[int, ...]:
+    """The component with an edge that the power bound filters along.
+
+    Filtering along a component H gives base(H) + h(H), where base(H) is 2
+    for a tree (leaf-splitting recursion) and 1 otherwise (any nonzero
+    monomial ideal), and h(H) counts the bipartite components left after
+    deleting V(H).  Deleting a whole component leaves the others intact, so
+    h(H) = p - [H bipartite], and base(H) + h(H) is p + 1 when H is a tree
+    or non-bipartite, and p otherwise.  The pivot is the first component
+    reaching p + 1, else the first component with an edge.
     """
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
     comps = [c for c in graph.components() if graph.induced_edges(c)]
     if not comps:
         raise InputError("the edge ideal is zero; I^k has no elements")
-    best = 0
-    for comp in comps:
-        base = 2 if graph.is_tree(comp) else 1
-        h = graph.delete_vertices(comp).bipartite_component_count()
-        best = max(best, base + h)
-    return best
+    return next((c for c in comps if _lifts(graph, c)), comps[0])
+
+
+def lower_sdepth_power(graph: Graph, k: int) -> int:
+    """Certified bound for sdepth(I^k), k >= 1, by filtering along the pivot.
+
+    It is p+1 whenever some component is non-bipartite or a tree with an
+    edge; otherwise it is p, and no more is claimed: whether connected
+    bipartite non-tree graphs allow 2 is an open question, never encoded as
+    a bound.
+    """
+    if k < 1:
+        raise InputError(f"power {k} must be positive")
+    pivot = pivot_component(graph)
+    return graph.bipartite_component_count() + int(_lifts(graph, pivot))
 
 
 def _depth_with_source(graph: Graph, k: int, kind: str) -> tuple[int, str]:
@@ -169,42 +187,6 @@ def stanley_verdict(
         witness = {"module": module.to_json(), "depth": depth, "sdepth": result.value}
     return BoundReport(
         "stanley-inequality", _instance(graph, k, kind), bound, oracle, verdict, witness
-    )
-
-
-def conjecture_check_s_mod(
-    graph: Graph, k: int, budget: int | None = None
-) -> BoundReport:
-    """Check sdepth(S/I^k) >= n - l(I) for edge-ideal powers.
-
-    The target n - l(I) equals the bipartite component count, which is the
-    certified quotient bound, so the verdict is "holds" without search.  A
-    budget requests an oracle cross-check; an exact oracle value below the
-    target would downgrade to "fails" with a witness.
-    """
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
-    target = graph.num_vertices - analytic_spread_edge(graph)
-    bound = lower_sdepth_s_mod_power(graph)
-    oracle: dict = {"target": target, "sdepth_bound": bound}
-    verdict = HOLDS
-    witness = None
-    if budget is not None:
-        module = module_for(graph, k, KIND_S_MOD)
-        if not module.is_zero():
-            result = sdepth_exact(module, budget)
-            oracle["sdepth"] = result.value
-            oracle["sdepth_exact"] = result.exact
-            if result.exact and result.value < target:
-                verdict = FAILS
-                witness = {"module": module.to_json(), "sdepth": result.value}
-    return BoundReport(
-        "spread-conjecture",
-        _instance(graph, k, KIND_S_MOD),
-        bound,
-        oracle,
-        verdict,
-        witness,
     )
 
 

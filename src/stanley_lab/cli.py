@@ -20,7 +20,6 @@ from .bounds import (
     KIND_S_MOD,
     KINDS,
     analytic_spread_edge,
-    conjecture_check_s_mod,
     module_for,
     stanley_verdict,
 )
@@ -29,7 +28,7 @@ from .constructions import (
     decompose_power_general,
     decompose_s_mod_power,
 )
-from .depth import depth_by_trung, homology_profile, scan_corner
+from .depth import depth_by_trung, homology_profile
 from .errors import (
     BudgetExceededError,
     ContradictionError,
@@ -37,7 +36,6 @@ from .errors import (
     UndefinedValueError,
 )
 from .graphs import parse_graph
-from .monomials import iter_box
 from .sdepth import DEFAULT_BUDGET, build_poset, sdepth_exact, search_partition
 from .sdepth import partition_to_decomposition
 from .stanley import ModulePresentation, StanleyDecomposition, verify
@@ -73,7 +71,6 @@ def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> None:
             "tool": "stanley-lab",
             "version": __version__,
             "invocation": sys.argv[1:] if args.argv is None else args.argv,
-            "seed": args.seed,
             "result": result,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -203,14 +200,8 @@ def cmd_depth(args: argparse.Namespace) -> int:
         result["homology_ranks"] = list(profile.ranks)
         lines.append(f"depth = {profile.depth}")
         if args.debug:
-            from .depth import koszul_rank
-
-            table = []
-            for a in iter_box(scan_corner(module)):
-                ranks = [koszul_rank(module, a, i) for i in range(module.n + 1)]
-                if any(ranks):
-                    table.append({"degree": list(a), "ranks": ranks})
-                    lines.append(f"  degree {list(a)}: ranks {ranks}")
+            table = [{"degree": list(a), "ranks": list(r)} for a, r in profile.degrees.items()]
+            lines += [f"  degree {d['degree']}: ranks {d['ranks']}" for d in table]
             result["degree_table"] = table
     if args.trung:
         graph = parse_graph(args.trung[0])
@@ -229,18 +220,13 @@ def cmd_depth(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
     report = stanley_verdict(args.kind, graph, args.k, args.budget)
-    reports = [report]
-    if args.kind == KIND_S_MOD:
-        reports.append(conjecture_check_s_mod(graph, args.k))
-    result = {"reports": [r.to_json() for r in reports]}
-    lines = []
-    for r in reports:
-        lines.append(
-            f"{r.claim}: verdict {r.verdict} "
-            f"(bound {r.bound}, oracle {r.oracle})"
-        )
+    result = {"reports": [report.to_json()]}
+    lines = [
+        f"{report.claim}: verdict {report.verdict} "
+        f"(bound {report.bound}, oracle {report.oracle})"
+    ]
     _emit(args, result, lines)
-    return EXIT_CLAIM if any(r.verdict == FAILS for r in reports) else EXIT_OK
+    return EXIT_CLAIM if report.verdict == FAILS else EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -280,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stanley depth of edge-ideal powers: oracles, bounds, certificates",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     parser.set_defaults(argv=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,6 +22,7 @@ explanations are a bug or a counterexample.
 
 from __future__ import annotations
 
+from .bounds import pivot_component
 from .errors import BudgetExceededError, ContradictionError, InputError
 from .graphs import Graph
 from .monomials import MonomialIdeal
@@ -79,13 +80,6 @@ def _positions(sub_labels: tuple[int, ...], labels: tuple[int, ...]) -> tuple[in
     """1-based coordinates of sub_labels inside the coordinate system of labels."""
     where = {v: i + 1 for i, v in enumerate(labels)}
     return tuple(where[v] for v in sub_labels)
-
-
-def _var_ideal(n: int, positions: tuple[int, ...]) -> MonomialIdeal:
-    gen = [0] * n
-    for j in positions:
-        gen[j - 1] = 1
-    return MonomialIdeal.make(n, [tuple(gen)])
 
 
 def _unit_vector(n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
@@ -245,6 +239,8 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     stem = min(tree.neighbors(leaf))
     pos_leaf = labels.index(leaf) + 1
     pos_stem = labels.index(stem) + 1
+    leaf_shift = _unit_vector(m, (pos_leaf,))
+    leaf_var = MonomialIdeal.make(m, [leaf_shift])
     pieces = []
 
     # monomials without the leaf variable: the power of the smaller tree
@@ -253,9 +249,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     sub_power = smaller.edge_ideal().restrict(rest_labels).extend(
         _positions(rest_labels, labels), m
     ) ** k
-    piece_module = ModulePresentation.make(
-        m, _var_ideal(m, (pos_leaf,)) * sub_power, sub_power
-    )
+    piece_module = ModulePresentation.make(m, leaf_var * sub_power, sub_power)
     piece = embed(
         _tree_power(smaller, k, budget), _positions(rest_labels, labels), piece_module
     )
@@ -274,14 +268,12 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
             budget,
             "every nonzero monomial ideal has a depth-one decomposition",
         )
-        upper = _var_ideal(m, (pos_leaf,)) * pruned_ideal.extend(
-            _positions(t_labels, labels), m
-        ) ** k
-        lower = _var_ideal(m, (pos_stem,)) * upper
+        upper = leaf_var * pruned_ideal.extend(_positions(t_labels, labels), m) ** k
+        lower = MonomialIdeal.make(m, [_unit_vector(m, (pos_stem,))]) * upper
         piece_module = ModulePresentation.make(m, lower, upper)
         lifted = embed(base, _positions(t_labels, labels), piece_module)
         lifted = free_extend(lifted, (pos_leaf,), piece_module)
-        lifted = shift(lifted, _unit_vector(m, (pos_leaf,)), piece_module)
+        lifted = shift(lifted, leaf_shift, piece_module)
         pieces.append(_checked(lifted, "leaf-only part"))
 
     # multiples of the leaf edge: the previous power, shifted by the edge
@@ -303,10 +295,10 @@ def decompose_power_general(
 ) -> StanleyDecomposition:
     """A verified decomposition of I^k for any graph with an edge (k >= 1).
 
-    The achieved sdepth is at least ``lower_sdepth_power(graph, k)`` when the
-    pivot component is chosen by the same rule; for connected bipartite
-    non-tree graphs the base case is a best-effort oracle search, and the
-    achieved value is experimental data.
+    The achieved sdepth is at least ``lower_sdepth_power(graph, k)``: both
+    filter along ``pivot_component``.  For connected bipartite non-tree
+    graphs the base case is a best-effort oracle search, and the achieved
+    value is experimental data.
     """
     if k < 1:
         raise InputError(f"power {k} must be positive")
@@ -318,21 +310,6 @@ def decompose_power_general(
     return _checked(StanleyDecomposition(module, dec.spaces), f"power k={k}")
 
 
-def _pivot_component(graph: Graph) -> tuple[int, ...]:
-    """The component with an edge maximizing its base bound plus what remains."""
-    best = None
-    best_key = None
-    for comp in graph.components():
-        if not graph.induced_edges(comp):
-            continue
-        base = 2 if graph.is_tree(comp) else 1
-        h = graph.delete_vertices(comp).bipartite_component_count()
-        key = (base + h, [-v for v in comp])
-        if best is None or key > best_key:
-            best, best_key = comp, key
-    return best
-
-
 def _power_on(
     graph: Graph, labels: tuple[int, ...], k: int, budget: int
 ) -> StanleyDecomposition:
@@ -341,7 +318,7 @@ def _power_on(
     full = graph.edge_ideal()
     ideal = full.restrict(labels)
     module = ModulePresentation.of_ideal(ideal**k)
-    pivot = _pivot_component(graph)
+    pivot = pivot_component(graph)
     pivot_positions = _positions(pivot, labels)
     edge_comps = [c for c in graph.components() if graph.induced_edges(c)]
 

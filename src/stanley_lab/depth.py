@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import InputError, UndefinedValueError
 from .graphs import Graph
-from .monomials import Multidegree, as_degree, iter_box
+from .monomials import Multidegree, iter_box
 from .stanley import ModulePresentation, basis_in_box
 from .stanley import generator_corner as scan_corner  # homology lives inside this box
 
@@ -47,10 +47,15 @@ def rank_int(rows: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """Total Koszul homology rank per index, summed over the scan box."""
+    """Koszul homology ranks per index: ``ranks`` sums them over the scan box,
+    and ``degrees`` maps each scanned multidegree with nonzero homology to its
+    ranks.  Outside the scan box all homology vanishes: there multiplication
+    by the overflowing variable is bijective and the complex is contractible.
+    """
 
     n: int
     ranks: tuple[int, ...]
+    degrees: dict[Multidegree, tuple[int, ...]]
 
     @property
     def depth(self) -> int:
@@ -98,45 +103,23 @@ def _boundary_rank(
     return rank_int(matrix)
 
 
-def koszul_rank(module: ModulePresentation, a: Multidegree, i: int) -> int:
-    """Rank of the i-th Koszul homology of the module in multidegree a.
-
-    Zero outside 0 <= i <= n, and zero whenever a leaves the scan box (there
-    multiplication by the overflowing variable is bijective on the module and
-    the complex is contractible).
-    """
-    n = module.n
-    deg = as_degree(a, n)
-    if i < 0 or i > n:
-        return 0
-    corner = scan_corner(module)
-    if any(x > y for x, y in zip(deg, corner)):
-        return 0
-    basis = basis_in_box(module, corner)
-    mid = _chains(basis, deg, i, n)
-    below = _chains(basis, deg, i - 1, n) if i >= 1 else []
-    above = _chains(basis, deg, i + 1, n) if i + 1 <= n else []
-    rank_out = _boundary_rank(basis, deg, mid, below)
-    rank_in = _boundary_rank(basis, deg, above, mid)
-    return len(mid) - rank_out - rank_in
-
-
 def homology_profile(module: ModulePresentation) -> HomologyProfile:
-    """Sum the per-multidegree homology ranks over the whole scan box."""
+    """Koszul homology ranks of each multidegree in the scan box, and their sums."""
     if module.is_zero():
         raise UndefinedValueError("the zero module has no depth")
     n = module.n
     corner = scan_corner(module)
     basis = basis_in_box(module, corner)
-    totals = [0] * (n + 1)
+    degrees = {}
     for a in iter_box(corner):
         chains = [_chains(basis, a, size, n) for size in range(n + 1)]
         bounds = [0] * (n + 2)
         for size in range(1, n + 1):
             bounds[size] = _boundary_rank(basis, a, chains[size], chains[size - 1])
-        for size in range(n + 1):
-            totals[size] += len(chains[size]) - bounds[size] - bounds[size + 1]
-    return HomologyProfile(n, tuple(totals))
+        ranks = [len(chains[s]) - bounds[s] - bounds[s + 1] for s in range(n + 1)]
+        if any(ranks):
+            degrees[a] = tuple(ranks)
+    return HomologyProfile(n, tuple(map(sum, zip(*degrees.values()))), degrees)
 
 
 def depth_exact(module: ModulePresentation) -> int:

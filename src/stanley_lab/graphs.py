@@ -70,59 +70,59 @@ class Graph:
             j if i == v else i for i, j in self.edges if v in (i, j)
         )
 
+    def _adjacency(self, keep: frozenset[int]) -> dict[int, list[int]]:
+        """Neighbor lists of the subgraph induced on keep."""
+        adj: dict[int, list[int]] = {v: [] for v in keep}
+        for i, j in self.edges:
+            if i in keep and j in keep:
+                adj[i].append(j)
+                adj[j].append(i)
+        return adj
+
+    def _search(self, keep: frozenset[int]) -> list[dict[int, int]]:
+        """Breadth-first forest of the subgraph induced on keep: one
+        {vertex: distance from the root} per component, rooted at and listed
+        by its least vertex."""
+        adj = self._adjacency(keep)
+        seen: set[int] = set()
+        forest = []
+        for root in sorted(keep):
+            if root in seen:
+                continue
+            dist = {root: 0}
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+            seen.update(dist)
+            forest.append(dist)
+        return forest
+
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Partition of the vertex set into maximal connected pieces.
 
         Isolated vertices form singleton components.  Components are sorted
         internally and listed by smallest member.
         """
-        adj = {v: set() for v in self.vertices}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen: set[int] = set()
-        comps = []
-        for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            queue, comp = deque([v]), {v}
-            seen.add(v)
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return tuple(tuple(sorted(tree)) for tree in self._search(self.vertices))
 
     def induced_edges(self, comp: Iterable[int]) -> tuple[Edge, ...]:
         keep = frozenset(comp)
         return tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
 
     def is_bipartite_component(self, comp: Iterable[int]) -> bool:
-        """Proper 2-colorability of the induced subgraph (singletons qualify)."""
+        """Proper 2-colorability of the induced subgraph (singletons qualify).
+
+        Distance parity from the roots of a breadth-first forest is a proper
+        2-coloring unless some edge joins two vertices of equal parity, which
+        closes an odd cycle.
+        """
         keep = frozenset(comp)
-        adj = {v: set() for v in keep}
-        for i, j in self.induced_edges(keep):
-            adj[i].add(j)
-            adj[j].add(i)
-        color: dict[int, int] = {}
-        for start in sorted(keep):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
+        parity = {v: d % 2 for tree in self._search(keep) for v, d in tree.items()}
+        return all(parity[i] != parity[j] for i, j in self.induced_edges(keep))
 
     def bipartite_component_count(self) -> int:
         """The invariant p: number of connected components with no odd cycle."""
@@ -134,20 +134,7 @@ class Graph:
             return False
         if not keep <= self.vertices:
             raise InputError(f"{sorted(keep)} is not a subset of the vertex set")
-        adj = {v: set() for v in keep}
-        for i, j in self.induced_edges(keep):
-            adj[i].add(j)
-            adj[j].add(i)
-        start = min(keep)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen == keep
+        return len(self._search(keep)) == 1
 
     def is_tree(self, comp: Iterable[int]) -> bool:
         """Whether the induced subgraph on a connected vertex set is a tree."""
@@ -282,10 +269,7 @@ def canonical_tree_form(g: Graph) -> str:
     isomorphism preserves.  The AHU code of a rooted tree (Aho-Hopcroft-Ullman)
     is "(" + the sorted codes of the child subtrees + ")".
     """
-    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = g._adjacency(g.vertices)
     if len(g.edges) != len(adj) - 1:
         raise InputError(f"not a tree: {len(adj)} vertices and {len(g.edges)} edges")
     degree = {v: len(ws) for v, ws in adj.items()}

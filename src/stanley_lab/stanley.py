@@ -62,8 +62,9 @@ class ModulePresentation:
 
     @classmethod
     def power_layer(cls, ideal: MonomialIdeal, k: int) -> "ModulePresentation":
-        """I^k/I^{k+1}."""
-        return cls.make(ideal.n, ideal ** (k + 1), ideal**k)
+        """I^k/I^{k+1}, with I^{k+1} taken as I^k * I."""
+        power = ideal**k
+        return cls.make(ideal.n, power * ideal, power)
 
     def is_zero(self) -> bool:
         return self.upper.subset_of(self.lower)

@@ -16,7 +16,6 @@ from .bounds import (
     HOLDS,
     KIND_POWER,
     KIND_S_MOD,
-    analytic_spread_edge,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
@@ -73,11 +72,10 @@ def sweep_layer_bound(
 def sweep_s_mod_bound(
     nmax: int, ks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
-    """sdepth(S/I^k) >= p and >= n - l(I) on every labeled graph."""
+    """sdepth(S/I^k) >= p (= n - l(I)) on every labeled graph."""
     rows = []
     for graph in _all_graphs(nmax):
         p = lower_sdepth_s_mod_power(graph)
-        conj = graph.num_vertices - analytic_spread_edge(graph)
         for k in ks:
             module = module_for(graph, k, KIND_S_MOD)
             if module.is_zero():
@@ -88,12 +86,9 @@ def sweep_s_mod_bound(
                     "graph": graph.to_json(),
                     "k": k,
                     "bound": p,
-                    "conjecture_target": conj,
                     "sdepth": result.value,
                     "exact": result.exact,
-                    "ok": result.exact
-                    and result.value >= p
-                    and result.value >= conj,
+                    "ok": result.exact and result.value >= p,
                 }
             )
     return rows
@@ -141,12 +136,10 @@ def sweep_stanley_s_mod(nmax: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
 
 
 def _favored(graph: Graph) -> bool:
-    """Graphs with a certified p+1 bound: non-bipartite, or with a tree
-    component carrying an edge."""
-    comps = graph.components()
-    if any(not graph.is_bipartite_component(c) for c in comps):
-        return True
-    return any(graph.induced_edges(c) and graph.is_tree(c) for c in comps)
+    """Graphs with a certified p+1 power bound."""
+    return graph.has_edges() and (
+        lower_sdepth_power(graph, 1) > graph.bipartite_component_count()
+    )
 
 
 def sweep_power_bound(
@@ -155,7 +148,7 @@ def sweep_power_bound(
     """sdepth(I^k) >= p + 1 on the favored classes."""
     rows = []
     for graph in _all_graphs(nmax):
-        if not graph.has_edges() or not _favored(graph):
+        if not _favored(graph):
             continue
         p = graph.bipartite_component_count()
         for k in ks:
@@ -179,7 +172,7 @@ def sweep_stanley_power(nmax: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Stanley's inequality for I^k on the favored classes at k in {n-1, n}."""
     rows = []
     for graph in _all_graphs(nmax):
-        if not graph.has_edges() or not _favored(graph):
+        if not _favored(graph):
             continue
         for k in _trung_ks(graph.n):
             report = stanley_verdict(KIND_POWER, graph, k, budget)

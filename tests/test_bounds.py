@@ -5,15 +5,24 @@ import pytest
 from stanley_lab import (
     InputError,
     analytic_spread_edge,
-    conjecture_check_s_mod,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
     question_experiment,
     stanley_verdict,
 )
-from stanley_lab.bounds import EVIDENCE_FOR, HOLDS, KIND_LAYER, KIND_POWER, KIND_S_MOD
-from stanley_lab.graphs import Graph, parse_graph, preset
+from stanley_lab.bounds import (
+    EVIDENCE_FOR,
+    HOLDS,
+    KIND_LAYER,
+    KIND_POWER,
+    KIND_S_MOD,
+    module_for,
+    pivot_component,
+)
+from stanley_lab.graphs import Graph, enumerate_labeled_graphs, parse_graph, preset
+from stanley_lab.sdepth import sdepth_exact
+from stanley_lab.sweeps import _favored
 
 
 def test_analytic_spread():
@@ -69,12 +78,52 @@ def test_stanley_verdict_layer():
 
 
 def test_conjecture_check():
+    # the spread conjecture's target n - l(I) is p, so the quotient verdict covers it
     for spec, k in (("cycle:4", 2), ("cycle:3", 1), ("path:3", 3)):
-        report = conjecture_check_s_mod(parse_graph(spec), k)
-        assert report.verdict == HOLDS
-    report = conjecture_check_s_mod(preset("cycle:4"), 2, budget=200_000)
-    assert report.verdict == HOLDS
-    assert report.oracle["sdepth"] >= report.oracle["target"]
+        graph = parse_graph(spec)
+        assert stanley_verdict(KIND_S_MOD, graph, k).verdict == HOLDS
+        result = sdepth_exact(module_for(graph, k, KIND_S_MOD), 200_000)
+        assert result.value >= graph.num_vertices - analytic_spread_edge(graph)
+
+
+def maximizing_pivot(graph):
+    """The power-bound pivot as a search over all components: the one with an
+    edge maximizing base + h, where base is 2 for a tree and 1 otherwise and
+    h counts bipartite components after deleting it; ties go to the
+    lexicographically least component.  Returns (pivot, bound)."""
+    best, best_key = None, None
+    for comp in graph.components():
+        if not graph.induced_edges(comp):
+            continue
+        base = 2 if graph.is_tree(comp) else 1
+        h = graph.delete_vertices(comp).bipartite_component_count()
+        key = (base + h, [-v for v in comp])
+        if best is None or key > best_key:
+            best, best_key = comp, key
+    return best, best_key[0]
+
+
+def favored_by_components(graph):
+    """A certified p+1 power bound: non-bipartite, or a tree component with an edge."""
+    comps = graph.components()
+    if any(not graph.is_bipartite_component(c) for c in comps):
+        return True
+    return any(graph.induced_edges(c) and graph.is_tree(c) for c in comps)
+
+
+def test_pivot_rule_matches_component_search():
+    checked = 0
+    for n in range(1, 6):
+        for graph in enumerate_labeled_graphs(n):
+            if not graph.has_edges():
+                assert not _favored(graph)
+                continue
+            pivot, bound = maximizing_pivot(graph)
+            assert pivot_component(graph) == pivot
+            assert lower_sdepth_power(graph, 1) == bound
+            assert _favored(graph) == favored_by_components(graph)
+            checked += 1
+    assert checked == 1094
 
 
 def test_question_experiment():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import stanley_lab
+from stanley_lab import ModulePresentation, MonomialIdeal, homology_profile
 
 CLI = [sys.executable, "-m", "stanley_lab"]
 # The CLI process imports the same package as this one, installed or not.
@@ -133,13 +134,45 @@ def test_depth_debug_table(tmp_path):
     )
     out = run("--json", "depth", "--module", str(mod), "--debug")
     payload = json.loads(out.stdout)
-    assert payload["result"]["degree_table"]
+    assert payload["result"]["degree_table"] == [
+        {"degree": [0, 0], "ranks": [1, 0, 0]},
+        {"degree": [1, 1], "ranks": [0, 1, 0]},
+    ]
+
+
+def test_depth_debug_reads_profile(tmp_path):
+    mod = tmp_path / "mod.json"
+    module = ModulePresentation.quotient_ring(MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)]))
+    mod.write_text(json.dumps(module.to_json()))
+    out = run("--json", "depth", "--module", str(mod), "--debug")
+    assert out.returncode == 0, out.stderr
+    table = json.loads(out.stdout)["result"]["degree_table"]
+    degrees = homology_profile(module).degrees
+    assert {tuple(row["degree"]): tuple(row["ranks"]) for row in table} == degrees
+    assert len(table) == len(degrees)
 
 
 def test_certify():
     out = run("certify", "--graph", "cycle:3", "--k", "2", "--kind", "s-mod-power")
     assert out.returncode == 0
     assert "verdict holds" in out.stdout
+
+
+def test_certify_s_mod_power_gives_one_report():
+    out = run("--json", "certify", "--graph", "cycle:4", "--k", "2", "--kind", "s-mod-power")
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert "seed" not in payload
+    [report] = payload["result"]["reports"]
+    assert report["claim"] == "stanley-inequality"
+    assert report["verdict"] == "holds"
+
+
+def test_seed_option_is_rejected():
+    out = run("--seed", "1", "analyze", "path:3")
+    assert out.returncode == 2
+    assert "stanley-lab: error" in out.stderr
+    assert "--seed" not in run("--help").stdout
 
 
 def test_sweep_small():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,6 @@ from stanley_lab import (
     depth_by_trung,
     depth_exact,
     homology_profile,
-    koszul_rank,
     rank_int,
 )
 from stanley_lab.bounds import module_for
@@ -54,6 +54,11 @@ def test_rank_int_against_fraction_elimination():
         assert rank_int(matrix) == rank_fraction(matrix)
 
 
+def koszul_rank(module, a, i):
+    """Rank of H_i in multidegree a, read off the one-pass profile."""
+    return homology_profile(module).degrees.get(a, (0,) * (module.n + 1))[i]
+
+
 def test_koszul_free_module():
     ring = ModulePresentation.quotient_ring(MonomialIdeal.zero(2))
     assert koszul_rank(ring, (0, 0), 0) == 1
@@ -70,6 +75,19 @@ def test_koszul_hand_checked_rank():
 def test_koszul_vanishes_outside_scan_box():
     assert koszul_rank(S_MOD_XY, (2, 1), 1) == 0
     assert koszul_rank(S_MOD_XY, (0, 5), 0) == 0
+
+
+def test_profile_degrees_of_residue_field():
+    # H_i(x; K) is the i-th exterior power of K^n: rank one in each squarefree
+    # degree with i variables, and nothing else
+    assert homology_profile(S_MOD_XY).degrees == {(0, 0): (1, 0, 0), (1, 1): (0, 1, 0)}
+    maximal = MonomialIdeal.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    field = ModulePresentation.quotient_ring(maximal)
+    profile = homology_profile(field)
+    assert profile.degrees == {
+        a: tuple(int(i == sum(a)) for i in range(4)) for a in product((0, 1), repeat=3)
+    }
+    assert profile.ranks == (1, 3, 3, 1)
 
 
 def test_depth_examples():

@@ -164,3 +164,21 @@ def test_enumerate_trees_matches_networkx():
     assert len(theirs) == 11
     for t in theirs:
         assert sum(nx.is_isomorphic(t, o) for o in ours) == 1
+
+
+def test_search_invariants_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 6):
+        for graph in enumerate_labeled_graphs(n):
+            if not graph.has_edges():
+                continue
+            ref = nx.Graph()
+            ref.add_nodes_from(graph.vertices)
+            ref.add_edges_from(graph.edges)
+            expected = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
+            assert list(graph.components()) == expected
+            for mask in range(1, 1 << n):
+                keep = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+                sub = ref.subgraph(keep)
+                assert graph.is_connected_set(keep) == nx.is_connected(sub)
+                assert graph.is_bipartite_component(keep) == nx.is_bipartite(sub)
