@@ -1,22 +1,29 @@
 """Exact depth via multigraded Koszul homology, plus the large-power shortcut.
 
 depth(M) = n - max{ i : H_i(x_1..x_n; M) != 0 }.  For M = J/I with monomial
-ideals the Koszul complex splits by multidegree, each graded piece is a small
-integer matrix complex, and all homology is supported inside the box bounded
-by the generator exponents: above the box some variable acts bijectively on
-the module and contracts the complex.  Ranks are computed fraction-free over
-the integers, so the answer is the characteristic-zero depth.
+ideals the Koszul complex splits by multidegree, and all homology lies in the
+box bounded by the generator exponents: above it some variable acts
+bijectively on M and contracts the complex.
+
+In degree a the chains are the e_F for F in the family {F subset of [n] :
+x^(a - e_F) in J minus I}, and x_j maps x^(a - e_F) to x^(a - e_(F - {j})),
+so the boundary, e_F to signed e_(F - {j}), depends only on the family too
+(the upper Koszul simplicial complex, Miller-Sturmfels Thm 1.34).  The scan
+shifts the basis bitset of the box (``monomials.Box``) to S_F = {a : a - e_F
+in the basis} one axis at a time, splits the box by each S_F into classes of
+equal family, and ranks each class once, fraction-free over the integers, so
+the answer is the characteristic-zero depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Iterator
 
 from .errors import InputError, UndefinedValueError
 from .graphs import Graph
-from .monomials import Multidegree, iter_box
-from .stanley import ModulePresentation, basis_in_box
+from .monomials import Box, Multidegree
+from .stanley import ModulePresentation
 from .stanley import generator_corner as scan_corner  # homology lives inside this box
 
 
@@ -48,9 +55,8 @@ def rank_int(rows: list[list[int]]) -> int:
 @dataclass(frozen=True)
 class HomologyProfile:
     """Koszul homology ranks per index: ``ranks`` sums them over the scan box,
-    and ``degrees`` maps each scanned multidegree with nonzero homology to its
-    ranks.  Outside the scan box all homology vanishes: there multiplication
-    by the overflowing variable is bijective and the complex is contractible.
+    which holds all homology, and ``degrees`` maps each scanned multidegree
+    with nonzero homology to its ranks, in lexicographic order.
     """
 
     n: int
@@ -63,44 +69,36 @@ class HomologyProfile:
         return self.n - top
 
 
-def _chains(
-    basis: set[Multidegree], a: Multidegree, size: int, n: int
-) -> list[tuple[int, ...]]:
-    out = []
-    for subset in combinations(range(n), size):
-        shifted = list(a)
-        ok = True
-        for j in subset:
-            shifted[j] -= 1
-            if shifted[j] < 0:
-                ok = False
-                break
-        if ok and tuple(shifted) in basis:
-            out.append(subset)
-    return out
+def _shifted(box: Box, bits: int, start: int, subset: int) -> Iterator[tuple[int, int]]:
+    """(F, bits moved up by e_F) for F = ``subset`` and its supersets adding
+    axes >= start, depth first, so at most n + 1 sets are alive at once.  An
+    empty set ends its branch: its supersets' sets are empty too."""
+    yield subset, bits
+    for j in range(start, len(box.corner)):
+        moved = (bits << box.strides[j]) & box.masks[j]
+        if moved:
+            yield from _shifted(box, moved, j + 1, subset | 1 << j)
 
 
-def _boundary_rank(
-    basis: set[Multidegree],
-    a: Multidegree,
-    sources: list[tuple[int, ...]],
-    targets: list[tuple[int, ...]],
-) -> int:
-    if not sources or not targets:
-        return 0
-    row_index = {t: r for r, t in enumerate(targets)}
-    matrix = [[0] * len(sources) for _ in targets]
-    for c, subset in enumerate(sources):
-        base = list(a)
-        for j in subset:
-            base[j] -= 1
-        for pos, j in enumerate(subset):
-            reduced = subset[:pos] + subset[pos + 1 :]
-            image = list(base)
-            image[j] += 1
-            if tuple(image) in basis:
-                matrix[row_index[reduced]][c] = -1 if pos % 2 else 1
-    return rank_int(matrix)
+def _family_ranks(n: int, family: int) -> tuple[int, ...]:
+    """Koszul homology ranks on the chains e_F, F a bitmask with bit F of
+    ``family`` set; e_F goes to (-1)^pos e_(F - {j}) for the pos-th j in F."""
+    members = [f for f in range(1 << n) if family >> f & 1]
+    chains = [[f for f in members if f.bit_count() == s] for s in range(n + 1)]
+    bounds = [0] * (n + 2)
+    for size in range(1, n + 1):
+        sources, targets = chains[size], chains[size - 1]
+        if sources and targets:
+            row_index = {t: r for r, t in enumerate(targets)}
+            matrix = [[0] * len(sources) for _ in targets]
+            for c, subset in enumerate(sources):
+                for j in range(n):
+                    # None unless j is in the subset: targets are one smaller
+                    r = row_index.get(subset & ~(1 << j))
+                    if r is not None:
+                        matrix[r][c] = (-1) ** (subset & ((1 << j) - 1)).bit_count()
+            bounds[size] = rank_int(matrix)
+    return tuple(len(chains[s]) - bounds[s] - bounds[s + 1] for s in range(n + 1))
 
 
 def homology_profile(module: ModulePresentation) -> HomologyProfile:
@@ -108,18 +106,27 @@ def homology_profile(module: ModulePresentation) -> HomologyProfile:
     if module.is_zero():
         raise UndefinedValueError("the zero module has no depth")
     n = module.n
-    corner = scan_corner(module)
-    basis = basis_in_box(module, corner)
-    degrees = {}
-    for a in iter_box(corner):
-        chains = [_chains(basis, a, size, n) for size in range(n + 1)]
-        bounds = [0] * (n + 2)
-        for size in range(1, n + 1):
-            bounds[size] = _boundary_rank(basis, a, chains[size], chains[size - 1])
-        ranks = [len(chains[s]) - bounds[s] - bounds[s + 1] for s in range(n + 1)]
-        if any(ranks):
-            degrees[a] = tuple(ranks)
-    return HomologyProfile(n, tuple(map(sum, zip(*degrees.values()))), degrees)
+    box = Box(scan_corner(module))
+    basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    # (points, family) pairs: bit F of the family is set iff a - e_F is in
+    # the basis, for every point a of the class
+    classes = [((1 << box.size) - 1, 0)]
+    for subset, shifted in _shifted(box, basis, 0, 0):
+        classes = [
+            (part, family | bit)
+            for points, family in classes
+            for part, bit in ((points & shifted, 1 << subset), (points & ~shifted, 0))
+            if part
+        ]
+    ranks = [0] * (n + 1)
+    degrees = []
+    for points, family in classes:
+        homology = _family_ranks(n, family)
+        if any(homology):
+            ranks = [r + points.bit_count() * h for r, h in zip(ranks, homology)]
+            degrees.extend((a, homology) for a in box.points(points))
+    degrees.sort()
+    return HomologyProfile(n, tuple(ranks), dict(degrees))
 
 
 def depth_exact(module: ModulePresentation) -> int:

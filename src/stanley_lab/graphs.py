@@ -113,20 +113,21 @@ class Graph:
         keep = frozenset(comp)
         return tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
 
-    def is_bipartite_component(self, comp: Iterable[int]) -> bool:
-        """Proper 2-colorability of the induced subgraph (singletons qualify).
+    def _bipartite_trees(self, keep: frozenset[int]) -> list[bool]:
+        """For each tree of the breadth-first forest on keep, whether distance
+        parity 2-colors it: an edge joining equal parities closes an odd cycle."""
+        forest = self._search(keep)
+        where = {v: (t, d % 2) for t, tree in enumerate(forest) for v, d in tree.items()}
+        odd = {where[i][0] for i, j in self.induced_edges(keep) if where[i] == where[j]}
+        return [t not in odd for t in range(len(forest))]
 
-        Distance parity from the roots of a breadth-first forest is a proper
-        2-coloring unless some edge joins two vertices of equal parity, which
-        closes an odd cycle.
-        """
-        keep = frozenset(comp)
-        parity = {v: d % 2 for tree in self._search(keep) for v, d in tree.items()}
-        return all(parity[i] != parity[j] for i, j in self.induced_edges(keep))
+    def is_bipartite_component(self, comp: Iterable[int]) -> bool:
+        """Proper 2-colorability of the induced subgraph (singletons qualify)."""
+        return all(self._bipartite_trees(frozenset(comp)))
 
     def bipartite_component_count(self) -> int:
         """The invariant p: number of connected components with no odd cycle."""
-        return sum(1 for c in self.components() if self.is_bipartite_component(c))
+        return sum(self._bipartite_trees(self.vertices))
 
     def is_connected_set(self, comp: Iterable[int]) -> bool:
         keep = frozenset(comp)

@@ -287,17 +287,10 @@ class Box:
 
 
 def members_in_box(ideal: MonomialIdeal, corner: Multidegree) -> set[Multidegree]:
-    """All multidegrees a <= corner with x^a in the ideal.
-
-    Point a of the box is bit sum(a_j * s_j) of one integer, with mixed-radix
-    strides s_j in which coordinate 0 is the most significant digit (see
-    ``Box``), so bit order is the lexicographic order of ``iter_box``.  The
-    members are the bits of the in-box generators closed upward along each
-    axis j by c_j steps of ``bits |= (bits << s_j) & mask_j``: sum(c_j)
-    shift-and-mask operations on one integer of prod(c_j + 1) bits,
-    independent of the number of generators.  Generators outside the box add
-    nothing, as their multiples all leave it.  Boxes over ``BOX_POINT_CAP``
-    points raise BudgetExceededError before anything is allocated.
+    """All multidegrees a <= corner with x^a in the ideal: the in-box
+    generators closed upward by ``Box.up``, sum(c_j) shift-and-mask steps on
+    one integer, independent of the number of generators.  Boxes over
+    ``BOX_POINT_CAP`` points raise BudgetExceededError before any allocation.
     """
     corner = as_degree(corner, ideal.n)
     box = Box(corner)

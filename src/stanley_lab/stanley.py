@@ -102,8 +102,7 @@ def generator_corner(module: ModulePresentation) -> Multidegree:
 
 def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multidegree]:
     """All basis multidegrees a <= corner of the module."""
-    c = as_degree(corner, module.n)
-    return members_in_box(module.upper, c) - members_in_box(module.lower, c)
+    return members_in_box(module.upper, corner) - members_in_box(module.lower, corner)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The depth oracle: exact integer ranks, Koszul homology, the closed form."""
 
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +18,11 @@ from stanley_lab import (
     rank_int,
 )
 from stanley_lab.bounds import module_for
+from stanley_lab.depth import scan_corner
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
+from stanley_lab.monomials import iter_box
+from stanley_lab.stanley import basis_in_box
+from stanley_lab.sweeps import random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -155,3 +160,98 @@ def test_minimum_depth_bounded_by_bipartite_count():
             for k in range(1, graph.n + 1)
         ]
         assert min(depths) <= p or not graph.has_edges()
+
+
+def _reference_chains(basis, a, size, n):
+    out = []
+    for subset in combinations(range(n), size):
+        shifted = list(a)
+        ok = True
+        for j in subset:
+            shifted[j] -= 1
+            if shifted[j] < 0:
+                ok = False
+                break
+        if ok and tuple(shifted) in basis:
+            out.append(subset)
+    return out
+
+
+def _reference_boundary_rank(basis, a, sources, targets):
+    if not sources or not targets:
+        return 0
+    row_index = {t: r for r, t in enumerate(targets)}
+    matrix = [[0] * len(sources) for _ in targets]
+    for c, subset in enumerate(sources):
+        base = list(a)
+        for j in subset:
+            base[j] -= 1
+        for pos, j in enumerate(subset):
+            reduced = subset[:pos] + subset[pos + 1 :]
+            image = list(base)
+            image[j] += 1
+            if tuple(image) in basis:
+                matrix[row_index[reduced]][c] = -1 if pos % 2 else 1
+    return rank_int(matrix)
+
+
+def reference_profile(module):
+    """The per-point Koszul scan: one complex for every multidegree of the box."""
+    n = module.n
+    corner = scan_corner(module)
+    basis = basis_in_box(module, corner)
+    degrees = {}
+    for a in iter_box(corner):
+        chains = [_reference_chains(basis, a, size, n) for size in range(n + 1)]
+        bounds = [0] * (n + 2)
+        for size in range(1, n + 1):
+            bounds[size] = _reference_boundary_rank(
+                basis, a, chains[size], chains[size - 1]
+            )
+        ranks = [len(chains[s]) - bounds[s] - bounds[s + 1] for s in range(n + 1)]
+        if any(ranks):
+            degrees[a] = tuple(ranks)
+    return tuple(map(sum, zip(*degrees.values()))), degrees
+
+
+def _parity_modules():
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            for k in (n - 1, n):
+                if k >= 1:
+                    yield module_for(graph, k, "s-mod-power")
+            if graph.has_edges():
+                for k in (1, 2):
+                    yield module_for(graph, k, "power")
+                for k in (0, 1, 2):
+                    yield module_for(graph, k, "layer")
+    yield from random_presentations(300, seed=3)
+
+
+def test_profile_matches_per_point_scan():
+    checked = 0
+    for module in _parity_modules():
+        ranks, degrees = reference_profile(module)
+        profile = homology_profile(module)
+        assert profile.ranks == ranks
+        assert profile.degrees == degrees
+        assert list(profile.degrees) == list(degrees)
+        checked += 1
+    assert checked > 700
+
+
+def test_profile_memory_on_cycle6_fifth_power():
+    module = module_for(preset("cycle:6"), 5, "s-mod-power")
+    tracemalloc.start()
+    try:
+        homology_profile(module)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("spec,k", [("cycle:6", 5), ("path:6", 5), ("cycle:5", 4)])
+def test_limit_depth_reach(spec, k):
+    graph = preset(spec)
+    assert depth_exact(module_for(graph, k, "s-mod-power")) == depth_by_trung(graph, k)

@@ -168,6 +168,10 @@ def test_enumerate_trees_matches_networkx():
 
 def test_search_invariants_match_networkx():
     nx = pytest.importorskip("networkx")
+
+    def bipartite_count(ref):
+        return sum(nx.is_bipartite(ref.subgraph(c)) for c in nx.connected_components(ref))
+
     for n in range(1, 6):
         for graph in enumerate_labeled_graphs(n):
             if not graph.has_edges():
@@ -177,8 +181,17 @@ def test_search_invariants_match_networkx():
             ref.add_edges_from(graph.edges)
             expected = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
             assert list(graph.components()) == expected
+            assert graph.bipartite_component_count() == bipartite_count(ref)
             for mask in range(1, 1 << n):
                 keep = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
                 sub = ref.subgraph(keep)
                 assert graph.is_connected_set(keep) == nx.is_connected(sub)
                 assert graph.is_bipartite_component(keep) == nx.is_bipartite(sub)
+    # on at most 5 vertices only one component can hold an odd cycle
+    triangle = preset("cycle:3")
+    for graph in (
+        disjoint_union(preset("path:2"), disjoint_union(triangle, preset("cycle:5"))),
+        disjoint_union(disjoint_union(triangle, preset("path:3")), triangle),
+    ):
+        ref = nx.Graph(graph.edges)
+        assert graph.bipartite_component_count() == bipartite_count(ref) == 1
