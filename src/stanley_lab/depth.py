@@ -124,7 +124,9 @@ def homology_profile(module: ModulePresentation) -> HomologyProfile:
         homology = _family_ranks(n, family)
         if any(homology):
             ranks = [r + points.bit_count() * h for r, h in zip(ranks, homology)]
-            degrees.extend((a, homology) for a in box.points(points))
+            while points:  # classes are sparse: visit their bits, not the box
+                degrees.append((box.lowest(points), homology))
+                points &= points - 1
     degrees.sort()
     return HomologyProfile(n, tuple(ranks), dict(degrees))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, product as lattice_product
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -75,7 +76,7 @@ def minimalize(gens: Iterable[Sequence[int]], n: int) -> tuple[Multidegree, ...]
     degs = sorted({as_degree(g, n) for g in gens}, key=lambda d: (sum(d), d))
     kept: list[Multidegree] = []
     for d in degs:
-        if not any(divides(m, d) for m in kept):
+        if not any(all(map(le, m, d)) for m in kept):
             kept.append(d)
     return tuple(sorted(kept))
 
@@ -137,8 +138,8 @@ class MonomialIdeal:
     def __pow__(self, k: int) -> "MonomialIdeal":
         if k < 0:
             raise InputError(f"negative power {k}")
-        out = MonomialIdeal.unit(self.n)
-        for _ in range(k):
+        out = self if k else MonomialIdeal.unit(self.n)
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -9,6 +9,11 @@ depth.  Variables absent from all generators never leave the floor of the
 box and count toward every rho, which is exactly the additive free-variable
 behavior.
 
+The poset is convex: a <= c <= b with x^a in J and x^b not in I puts x^c in
+J \\ I.  So the interval [a, b] of two elements is up[a] & down[b], the
+elements reached from a by unit steps up and from b by unit steps down, and
+the candidate table is built from these bitset closures, not lattice walks.
+
 The search is a deterministic exact-cover backtracking: the lexicographically
 (degree-first) least uncovered element must be the bottom of its interval, so
 only tops are branched on.  Budgets are node counts; exceeding one is a
@@ -76,6 +81,34 @@ class SearchOutcome:
     nodes: int
 
 
+def _candidates(poset: CharacteristicPoset, target: int) -> list[list[tuple]]:
+    """Row i: (top, mask) for each interval [elements[i], top] with rho(top) >=
+    target, sorted by top.  Bit c of the mask is set iff element c lies in the
+    interval: the mask is up[i] & down[top] (see the module docstring)."""
+    elems = poset.elements
+    index = {e: i for i, e in enumerate(elems)}
+    succ = [[e[:j] + (e[j] + 1,) + e[j + 1 :] for j in range(poset.n)] for e in elems]
+    steps = [[index[c] for c in row if c in index] for row in succ]
+    up = [1 << i for i in range(len(elems))]
+    down = up[:]
+    for i in reversed(range(len(elems))):  # e + e_j comes after e in grlex order
+        for k in steps[i]:
+            up[i] |= up[k]
+    for i, row in enumerate(steps):
+        for k in row:
+            down[k] |= down[i]
+    tall = sum(1 << j for j, e in enumerate(elems) if poset.rho(e) >= target)
+    table = []
+    for above in up:
+        bits, row = above & tall, []
+        while bits:
+            j = (bits & -bits).bit_length() - 1
+            row.append((elems[j], above & down[j]))
+            bits &= bits - 1
+        table.append(sorted(row))
+    return table
+
+
 def search_partition(
     poset: CharacteristicPoset, target: int, budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
@@ -90,30 +123,7 @@ def search_partition(
         raise InputError(f"target {target} outside 0..{poset.n}")
     elems = poset.elements
     m = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    rho = [poset.rho(e) for e in elems]
-
-    candidates: list[list[tuple[Multidegree, int]]] = []
-    for i, bottom in enumerate(elems):
-        row = []
-        for j in range(i, m):
-            top = elems[j]
-            if rho[j] < target or any(x > y for x, y in zip(bottom, top)):
-                continue
-            mask = 0
-            inside = True
-            for c in lattice_product(
-                *(range(x, y + 1) for x, y in zip(bottom, top))
-            ):
-                ci = index.get(c)
-                if ci is None:
-                    inside = False
-                    break
-                mask |= 1 << ci
-            if inside:
-                row.append((top, mask))
-        row.sort(key=lambda t: t[0])
-        candidates.append(row)
+    candidates = _candidates(poset, target)
 
     full = (1 << m) - 1
     coverable = 0
@@ -148,11 +158,14 @@ def search_partition(
             failed.add(uncovered)
         return False
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * m + 1000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * m + 1000))
     try:
         found = walk(full)
     except BudgetExceededError:
         return SearchOutcome("exceeded", None, nodes)
+    finally:
+        sys.setrecursionlimit(limit)
     if found:
         return SearchOutcome("found", IntervalPartition(tuple(chosen)), nodes)
     return SearchOutcome("none", None, nodes)

@@ -1,5 +1,6 @@
 """The exact Stanley depth oracle: poset construction, search, certificates."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -15,7 +16,9 @@ from stanley_lab import (
     verify,
 )
 from stanley_lab.bounds import module_for
-from stanley_lab.graphs import preset
+from stanley_lab.graphs import enumerate_labeled_graphs, preset
+from stanley_lab.sdepth import DEFAULT_BUDGET, _candidates
+from stanley_lab.sweeps import random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -104,6 +107,83 @@ def test_budget_exhaustion_is_tristate():
     outcome = search_partition(poset, 1, budget=1)
     assert outcome.status == "exceeded"
     assert outcome.partition is None
+
+
+def test_search_restores_recursion_limit():
+    quotient = build_poset(S_MOD_XY)
+    cycle4 = build_poset(module_for(preset("cycle:4"), 2, "s-mod-power"))
+    cases = [(quotient, 1, DEFAULT_BUDGET, "found"),
+             (quotient, 2, DEFAULT_BUDGET, "none"),
+             (cycle4, 2, DEFAULT_BUDGET, "none"),  # proved by the walk, not the cover check
+             (cycle4, 1, 1, "exceeded")]
+    saved = sys.getrecursionlimit()
+    try:
+        for poset, target, budget, status in cases:
+            sys.setrecursionlimit(500)  # below the 4 * m + 1000 every search asks for
+            assert search_partition(poset, target, budget).status == status
+            assert sys.getrecursionlimit() == 500
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def reference_candidates(poset, target):
+    """The lattice-walk table: every comparable pair, its interval walked
+    point by point and kept only if every point is an element."""
+    elems = poset.elements
+    index = {e: i for i, e in enumerate(elems)}
+    rho = [poset.rho(e) for e in elems]
+    table = []
+    for i, bottom in enumerate(elems):
+        row = []
+        for j in range(i, len(elems)):
+            top = elems[j]
+            if rho[j] < target or any(x > y for x, y in zip(bottom, top)):
+                continue
+            mask = 0
+            inside = True
+            for c in product(*(range(x, y + 1) for x, y in zip(bottom, top))):
+                ci = index.get(c)
+                if ci is None:
+                    inside = False
+                    break
+                mask |= 1 << ci
+            if inside:
+                row.append((top, mask))
+        row.sort(key=lambda t: t[0])
+        table.append(row)
+    return table
+
+
+def _table_modules():
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            if graph.has_edges():
+                for k in (1, 2):
+                    yield module_for(graph, k, "power")
+                    yield module_for(graph, k, "s-mod-power")
+                for k in (0, 1, 2):
+                    yield module_for(graph, k, "layer")
+    yield from random_presentations(300, seed=3)
+
+
+def test_candidates_match_lattice_walk():
+    checked = 0
+    for module in _table_modules():
+        poset = build_poset(module)
+        for target in range(poset.n + 1):
+            assert _candidates(poset, target) == reference_candidates(poset, target)
+            checked += 1
+    assert checked == 3635
+
+
+def test_poset_is_convex():
+    for module in random_presentations(300, seed=3):
+        elems = set(build_poset(module).elements)
+        for a in elems:
+            for b in elems:
+                if all(x <= y for x, y in zip(a, b)):
+                    between = product(*(range(x, y + 1) for x, y in zip(a, b)))
+                    assert all(c in elems for c in between)
 
 
 def test_sdepth_exact_values():
