@@ -50,22 +50,32 @@ class BoundReport:
         }
 
 
+def _check_power(k: int, kind: str) -> None:
+    if kind == KIND_S_MOD and k < 1:
+        raise InputError("S/I^k needs k >= 1")
+    if kind == KIND_POWER and k < 1:
+        raise InputError("I^k as a module needs k >= 1")
+    if kind == KIND_LAYER and k < 0:
+        raise InputError("the layer I^k/I^{k+1} needs k >= 0")
+    if kind not in KINDS:
+        raise InputError(f"unknown module kind {kind!r}; expected one of {KINDS}")
+
+
 def module_for(graph: Graph, k: int, kind: str) -> ModulePresentation:
     """The presentation named by kind: S/I^k, I^k, or I^k/I^{k+1}."""
+    _check_power(k, kind)
     ideal = graph.edge_ideal()
     if kind == KIND_S_MOD:
-        if k < 1:
-            raise InputError("S/I^k needs k >= 1")
         return ModulePresentation.quotient_ring(ideal**k)
     if kind == KIND_POWER:
-        if k < 1:
-            raise InputError("I^k as a module needs k >= 1")
         return ModulePresentation.of_ideal(ideal**k)
-    if kind == KIND_LAYER:
-        if k < 0:
-            raise InputError("the layer I^k/I^{k+1} needs k >= 0")
-        return ModulePresentation.power_layer(ideal, k)
-    raise InputError(f"unknown module kind {kind!r}; expected one of {KINDS}")
+    return ModulePresentation.power_layer(ideal, k)
+
+
+def _module_is_zero(graph: Graph, k: int, kind: str) -> bool:
+    """Whether ``module_for(graph, k, kind)`` is zero.  I(G) is never the unit
+    ideal, so only I^k and I^k/I^{k+1} with k >= 1 can be: when G has no edge."""
+    return kind != KIND_S_MOD and k >= 1 and not graph.has_edges()
 
 
 def _instance(graph: Graph, k: int | None, kind: str | None) -> dict:
@@ -134,14 +144,18 @@ def lower_sdepth_power(graph: Graph, k: int) -> int:
     return graph.bipartite_component_count() + int(_lifts(graph, pivot))
 
 
-def _depth_with_source(graph: Graph, k: int, kind: str) -> tuple[int, str]:
+def _depth_with_source(
+    graph: Graph, k: int, kind: str
+) -> tuple[int, str, ModulePresentation | None]:
+    """The depth, its source, and the module if the Koszul scan built it."""
     shortcut = depth_by_trung(graph, k) if k >= 1 else None
     if shortcut is not None and kind == KIND_S_MOD:
-        return shortcut, "limit-depth-formula"
+        return shortcut, "limit-depth-formula", None
     if shortcut is not None and kind == KIND_POWER and graph.has_edges():
         # depth(I^k) = depth(S/I^k) + 1 for a nonzero proper ideal.
-        return shortcut + 1, "limit-depth-formula"
-    return depth_exact(module_for(graph, k, kind)), "koszul"
+        return shortcut + 1, "limit-depth-formula", None
+    module = module_for(graph, k, kind)
+    return depth_exact(module), "koszul", module
 
 
 def _sdepth_bound_with_source(graph: Graph, k: int, kind: str) -> tuple[int, str]:
@@ -162,10 +176,10 @@ def stanley_verdict(
     value below the depth yields "fails" (with a witness); a truncated search
     below the depth is "inconclusive-budget".
     """
-    module = module_for(graph, k, kind)
-    if module.is_zero():
+    _check_power(k, kind)
+    if _module_is_zero(graph, k, kind):
         raise UndefinedValueError("zero module: Stanley's inequality is vacuous")
-    depth, depth_source = _depth_with_source(graph, k, kind)
+    depth, depth_source, module = _depth_with_source(graph, k, kind)
     bound, bound_source = _sdepth_bound_with_source(graph, k, kind)
     oracle = {"depth": depth, "depth_source": depth_source,
               "sdepth_bound": bound, "sdepth_bound_source": bound_source}
@@ -173,6 +187,8 @@ def stanley_verdict(
         return BoundReport(
             "stanley-inequality", _instance(graph, k, kind), bound, oracle, HOLDS
         )
+    if module is None:
+        module = module_for(graph, k, kind)
     result = sdepth_exact(module, budget)
     oracle["sdepth"] = result.value
     oracle["sdepth_exact"] = result.exact

@@ -18,6 +18,7 @@ the answer is the characteristic-zero depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import InputError, UndefinedValueError
@@ -80,9 +81,11 @@ def _shifted(box: Box, bits: int, start: int, subset: int) -> Iterator[tuple[int
             yield from _shifted(box, moved, j + 1, subset | 1 << j)
 
 
+@lru_cache(maxsize=4096)
 def _family_ranks(n: int, family: int) -> tuple[int, ...]:
     """Koszul homology ranks on the chains e_F, F a bitmask with bit F of
-    ``family`` set; e_F goes to (-1)^pos e_(F - {j}) for the pos-th j in F."""
+    ``family`` set; e_F goes to (-1)^pos e_(F - {j}) for the pos-th j in F.
+    A pure function, memoized: few families recur across scans."""
     members = [f for f in range(1 << n) if family >> f & 1]
     chains = [[f for f in members if f.bit_count() == s] for s in range(n + 1)]
     bounds = [0] * (n + 2)
@@ -112,12 +115,14 @@ def homology_profile(module: ModulePresentation) -> HomologyProfile:
     # the basis, for every point a of the class
     classes = [((1 << box.size) - 1, 0)]
     for subset, shifted in _shifted(box, basis, 0, 0):
-        classes = [
-            (part, family | bit)
-            for points, family in classes
-            for part, bit in ((points & shifted, 1 << subset), (points & ~shifted, 0))
-            if part
-        ]
+        split = []
+        for points, family in classes:
+            inside = points & shifted
+            if inside:
+                split.append((inside, family | 1 << subset))
+            if inside != points:
+                split.append((points ^ inside, family))
+        classes = split
     ranks = [0] * (n + 1)
     degrees = []
     for points, family in classes:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product as lattice_product
-from operator import le
+from itertools import compress, groupby, product as lattice_product
+from operator import le, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -70,14 +70,15 @@ def iter_box(corner: Multidegree) -> Iterator[Multidegree]:
 def minimalize(gens: Iterable[Sequence[int]], n: int) -> tuple[Multidegree, ...]:
     """The unique minimal generating set: divisibility-redundant degrees dropped.
 
-    Sorting by total degree first makes a single forward divisibility scan
-    sufficient (a proper divisor always has strictly smaller total degree).
+    A proper divisor has strictly smaller total degree, so each degree is
+    checked only against kept degrees of smaller total degree: none for an
+    equigenerated set, such as any power of an edge ideal.
     """
-    degs = sorted({as_degree(g, n) for g in gens}, key=lambda d: (sum(d), d))
+    degs = sorted({as_degree(g, n) for g in dict.fromkeys(map(tuple, gens))}, key=sum)
     kept: list[Multidegree] = []
-    for d in degs:
-        if not any(all(map(le, m, d)) for m in kept):
-            kept.append(d)
+    for _, layer in groupby(degs, key=sum):
+        # the comprehension reads kept before this layer is added to it
+        kept += [d for d in layer if not any(all(map(le, m, d)) for m in kept)]
     return tuple(sorted(kept))
 
 
@@ -252,7 +253,7 @@ class Box:
         )
 
     def index(self, a: Multidegree) -> int:
-        return sum(x * s for x, s in zip(a, self.strides))
+        return sum(map(mul, a, self.strides))
 
     def lowest(self, bits: int) -> Multidegree:
         """The lexicographically least point of a nonempty set."""

@@ -11,8 +11,9 @@ behavior.
 
 The poset is convex: a <= c <= b with x^a in J and x^b not in I puts x^c in
 J \\ I.  So the interval [a, b] of two elements is up[a] & down[b], the
-elements reached from a by unit steps up and from b by unit steps down, and
-the candidate table is built from these bitset closures, not lattice walks.
+elements reached from a by unit steps up and from b by unit steps down.
+These bitset closures are built once per poset, and a row of the candidate
+table is built from them only when the search first forces its bottom.
 
 The search is a deterministic exact-cover backtracking: the lexicographically
 (degree-first) least uncovered element must be the bottom of its interval, so
@@ -25,14 +26,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import product as lattice_product
+from operator import eq
 
 from .errors import BudgetExceededError, InputError, UndefinedValueError
-from .monomials import Multidegree
+from .monomials import Box, Multidegree
 from .stanley import (
     ModulePresentation,
     StanleyDecomposition,
     StanleySpace,
-    basis_in_box,
     generator_corner,
 )
 
@@ -47,10 +48,16 @@ def _grlex(a: Multidegree) -> tuple:
 
 @dataclass(frozen=True)
 class CharacteristicPoset:
+    """Elements in degree-lexicographic order; ``ranks[i]`` is rho of element
+    i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i."""
+
     n: int
     g: Multidegree
     free_vars: frozenset[int]
     elements: tuple[Multidegree, ...]
+    ranks: tuple[int, ...]
+    up: tuple[int, ...]
+    down: tuple[int, ...]
 
     def rho(self, b: Multidegree) -> int:
         """Count of coordinates pinned at the box corner (free ones included)."""
@@ -61,9 +68,26 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     if module.is_zero():
         raise UndefinedValueError("the zero module has no Stanley depth")
     g = generator_corner(module)
+    box = Box(g)
+    basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    elements = tuple(sorted(box.points(basis), key=_grlex))
+    where = {box.index(e): i for i, e in enumerate(elements)}
+    # steps[i]: the elements e_i + e_j, one box stride above e_i
+    steps = [
+        [where[b + s] for x, c, s in zip(e, g, box.strides) if x < c and b + s in where]
+        for e, b in zip(elements, where)
+    ]
+    up = [1 << i for i in range(len(elements))]
+    down = up[:]
+    for i in reversed(range(len(elements))):  # e + e_j comes after e in grlex order
+        for k in steps[i]:
+            up[i] |= up[k]
+    for i, row in enumerate(steps):
+        for k in row:
+            down[k] |= down[i]
     free = frozenset(j + 1 for j, e in enumerate(g) if e == 0)
-    elements = tuple(sorted(basis_in_box(module, g), key=_grlex))
-    return CharacteristicPoset(module.n, g, free, elements)
+    ranks = tuple(sum(map(eq, e, g)) for e in elements)
+    return CharacteristicPoset(module.n, g, free, elements, ranks, tuple(up), tuple(down))
 
 
 @dataclass(frozen=True)
@@ -81,32 +105,17 @@ class SearchOutcome:
     nodes: int
 
 
-def _candidates(poset: CharacteristicPoset, target: int) -> list[list[tuple]]:
-    """Row i: (top, mask) for each interval [elements[i], top] with rho(top) >=
-    target, sorted by top.  Bit c of the mask is set iff element c lies in the
-    interval: the mask is up[i] & down[top] (see the module docstring)."""
-    elems = poset.elements
-    index = {e: i for i, e in enumerate(elems)}
-    succ = [[e[:j] + (e[j] + 1,) + e[j + 1 :] for j in range(poset.n)] for e in elems]
-    steps = [[index[c] for c in row if c in index] for row in succ]
-    up = [1 << i for i in range(len(elems))]
-    down = up[:]
-    for i in reversed(range(len(elems))):  # e + e_j comes after e in grlex order
-        for k in steps[i]:
-            up[i] |= up[k]
-    for i, row in enumerate(steps):
-        for k in row:
-            down[k] |= down[i]
-    tall = sum(1 << j for j, e in enumerate(elems) if poset.rho(e) >= target)
-    table = []
-    for above in up:
-        bits, row = above & tall, []
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            row.append((elems[j], above & down[j]))
-            bits &= bits - 1
-        table.append(sorted(row))
-    return table
+def _row(poset: CharacteristicPoset, tall: int, i: int) -> list[tuple]:
+    """(top, mask) for each interval [elements[i], top] with top in the bitset
+    ``tall``, sorted by top.  Bit c of the mask is set iff element c lies in
+    the interval: the mask is up[i] & down[top] (see the module docstring)."""
+    above = poset.up[i]
+    bits, row = above & tall, []
+    while bits:
+        j = (bits & -bits).bit_length() - 1
+        row.append((poset.elements[j], above & poset.down[j]))
+        bits &= bits - 1
+    return sorted(row)
 
 
 def search_partition(
@@ -123,15 +132,11 @@ def search_partition(
         raise InputError(f"target {target} outside 0..{poset.n}")
     elems = poset.elements
     m = len(elems)
-    candidates = _candidates(poset, target)
-
-    full = (1 << m) - 1
-    coverable = 0
-    for row in candidates:
-        for _, mask in row:
-            coverable |= mask
-    if coverable != full:
+    tall = sum(1 << j for j, r in enumerate(poset.ranks) if r >= target)
+    # c is covered by some interval iff [c, b] is one for some tall b >= c
+    if any(not above & tall for above in poset.up):
         return SearchOutcome("none", None, 0)
+    rows: list = [None] * m  # row i is built when the walk first forces bottom i
 
     failed: set[int] = set()
     chosen: list[tuple[Multidegree, Multidegree]] = []
@@ -147,7 +152,10 @@ def search_partition(
         if nodes > budget:
             raise BudgetExceededError(f"search budget {budget} exhausted")
         i = (uncovered & -uncovered).bit_length() - 1
-        for top, mask in candidates[i]:
+        row = rows[i]
+        if row is None:
+            row = rows[i] = _row(poset, tall, i)
+        for top, mask in row:
             if mask & uncovered != mask:
                 continue
             chosen.append((elems[i], top))
@@ -161,7 +169,7 @@ def search_partition(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * m + 1000))
     try:
-        found = walk(full)
+        found = walk((1 << m) - 1)
     except BudgetExceededError:
         return SearchOutcome("exceeded", None, nodes)
     finally:
@@ -192,7 +200,7 @@ def sdepth_exact(
     singles = IntervalPartition(tuple((e, e) for e in poset.elements))
     best = singles
     best_value = singles.value(poset)
-    rho_max = max(poset.rho(e) for e in poset.elements)
+    rho_max = max(poset.ranks)
     exact = True
     d = best_value + 1
     while d <= rho_max:

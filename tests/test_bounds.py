@@ -2,8 +2,10 @@
 
 import pytest
 
+from stanley_lab import bounds
 from stanley_lab import (
     InputError,
+    UndefinedValueError,
     analytic_spread_edge,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
@@ -17,6 +19,8 @@ from stanley_lab.bounds import (
     KIND_LAYER,
     KIND_POWER,
     KIND_S_MOD,
+    KINDS,
+    _module_is_zero,
     module_for,
     pivot_component,
 )
@@ -75,6 +79,59 @@ def test_stanley_verdict_layer():
     report = stanley_verdict(KIND_LAYER, preset("path:2"), 1)
     assert report.verdict == HOLDS
     assert report.bound == 1
+
+
+def test_zero_guard_matches_module():
+    zeros = 0
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            for kind in KINDS:
+                for k in range(4):
+                    if k == 0 and kind != KIND_LAYER:
+                        with pytest.raises(InputError):
+                            module_for(graph, k, kind)
+                        continue
+                    module = module_for(graph, k, kind)
+                    assert _module_is_zero(graph, k, kind) == module.is_zero()
+                    zeros += module.is_zero()
+    assert zeros == 2 * 3 * 4  # I^k and I^k/I^{k+1}, k = 1..3, edgeless n = 1..4
+
+
+def test_stanley_verdict_errors():
+    path, empty = preset("path:2"), Graph.make(3, [])
+    for kind, graph, k in [("ring", path, 1), (KIND_S_MOD, path, 0),
+                           (KIND_POWER, empty, 0), (KIND_LAYER, path, -1)]:
+        with pytest.raises(InputError):
+            stanley_verdict(kind, graph, k)
+    for kind, k in [(KIND_POWER, 1), (KIND_LAYER, 2)]:
+        with pytest.raises(UndefinedValueError):
+            stanley_verdict(kind, empty, k)
+    assert stanley_verdict(KIND_LAYER, empty, 0).verdict == HOLDS
+    assert stanley_verdict(KIND_S_MOD, empty, 1).verdict == HOLDS
+
+
+def test_stanley_verdict_builds_module_at_most_once(monkeypatch):
+    """Only the Koszul depth scan or the sdepth fallback builds the module."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return module_for(*args)
+
+    monkeypatch.setattr(bounds, "module_for", counted)
+    sources = set()
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            for kind, k in [(KIND_LAYER, 0), *((kind, k) for kind in KINDS for k in {1, n})]:
+                if _module_is_zero(graph, k, kind):
+                    continue
+                built.clear()
+                report = stanley_verdict(kind, graph, k)
+                koszul = report.oracle["depth_source"] == "koszul"
+                fallback = "sdepth" in report.oracle
+                assert len(built) == int(koszul or fallback)
+                sources.add((koszul, fallback))
+    assert len(sources) == 4  # each source of depth, with and without the fallback
 
 
 def test_conjecture_check():

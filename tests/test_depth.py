@@ -18,7 +18,7 @@ from stanley_lab import (
     rank_int,
 )
 from stanley_lab.bounds import module_for
-from stanley_lab.depth import scan_corner
+from stanley_lab.depth import _family_ranks, scan_corner
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
 from stanley_lab.monomials import iter_box
 from stanley_lab.stanley import basis_in_box
@@ -80,6 +80,12 @@ def test_koszul_hand_checked_rank():
 def test_koszul_vanishes_outside_scan_box():
     assert koszul_rank(S_MOD_XY, (2, 1), 1) == 0
     assert koszul_rank(S_MOD_XY, (0, 5), 0) == 0
+
+
+def test_family_ranks_memo_matches_uncached():
+    assert _family_ranks.cache_info().maxsize is not None
+    for family in range(1 << 8):  # every family of subsets of {1, 2, 3}
+        assert _family_ranks(3, family) == _family_ranks.__wrapped__(3, family)
 
 
 def test_profile_degrees_of_residue_field():

@@ -38,6 +38,23 @@ def test_minimalize_pairwise_products():
     assert minimalize(pairs, 3) == ((0, 2, 2), (1, 2, 1), (2, 2, 0))
 
 
+def test_minimalize_rejects_bad_degrees():
+    # the first bad generator in input order is the one reported
+    with pytest.raises(InputError, match="length 2"):
+        minimalize([(1, 1), [1], (-1, 0)], 2)
+    with pytest.raises(InputError, match="negative"):
+        minimalize([(1, 1), [-1, 0], (1,)], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), max_size=8))
+def test_minimalize_matches_bruteforce(gens):
+    # raw lists, duplicates and mixed total degrees
+    degs = {tuple(g) for g in gens}
+    kept = [d for d in degs if not any(e != d and divides(e, d) for e in degs)]
+    assert minimalize(gens, 3) == tuple(sorted(kept))
+
+
 def test_contains_basic():
     I = MonomialIdeal.make(2, [(1, 1)])
     assert I.contains((1, 1))

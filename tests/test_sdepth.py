@@ -1,6 +1,8 @@
 """The exact Stanley depth oracle: poset construction, search, certificates."""
 
 import sys
+from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -17,7 +19,8 @@ from stanley_lab import (
 )
 from stanley_lab.bounds import module_for
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
-from stanley_lab.sdepth import DEFAULT_BUDGET, _candidates
+from stanley_lab import sdepth
+from stanley_lab.sdepth import DEFAULT_BUDGET, _row
 from stanley_lab.sweeps import random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
@@ -166,14 +169,59 @@ def _table_modules():
     yield from random_presentations(300, seed=3)
 
 
-def test_candidates_match_lattice_walk():
-    checked = 0
+@cache
+def _reference_cases():
+    """(poset, target, reference table) for every target on every table module."""
+    cases = []
     for module in _table_modules():
         poset = build_poset(module)
         for target in range(poset.n + 1):
-            assert _candidates(poset, target) == reference_candidates(poset, target)
-            checked += 1
-    assert checked == 3635
+            cases.append((poset, target, reference_candidates(poset, target)))
+    return cases
+
+
+def test_candidates_match_lattice_walk():
+    for poset, target, reference in _reference_cases():
+        assert poset.ranks == tuple(poset.rho(e) for e in poset.elements)
+        tall = sum(1 << j for j, r in enumerate(poset.ranks) if r >= target)
+        assert [_row(poset, tall, i) for i in range(len(poset.elements))] == reference
+    assert len(_reference_cases()) == 3635
+
+
+def test_coverability_matches_lattice_walk():
+    """The row-free check says "none" with 0 nodes exactly when the union of
+    the reference table misses an element.  Budget 0 stops any walk at its
+    first node, so only the check can return "none"."""
+    uncoverable = 0
+    for poset, target, reference in _reference_cases():
+        union = 0
+        for row in reference:
+            for _, mask in row:
+                union |= mask
+        missed = union != (1 << len(poset.elements)) - 1
+        outcome = search_partition(poset, target, budget=0)
+        expected = ("none", 0) if missed else ("exceeded", 1)
+        assert (outcome.status, outcome.nodes) == expected
+        uncoverable += missed
+    assert uncoverable == 1307  # so both answers are exercised
+
+
+def test_walk_totals_pinned(monkeypatch):
+    """Nodes and statuses of every search sdepth_exact makes on the table
+    modules, summed; lazy rows and the row-free check must not change them."""
+    totals = Counter()
+    search = sdepth.search_partition
+
+    def counted(poset, target, budget=DEFAULT_BUDGET):
+        outcome = search(poset, target, budget)
+        totals["nodes"] += outcome.nodes
+        totals[outcome.status] += 1
+        return outcome
+
+    monkeypatch.setattr(sdepth, "search_partition", counted)
+    for module in _table_modules():
+        sdepth_exact(module)
+    assert totals == {"nodes": 16518, "found": 745, "none": 508}
 
 
 def test_poset_is_convex():
