@@ -14,13 +14,19 @@ Four generators of certificates:
   along the powers of one component's ideal and tensoring each filtration
   layer.
 
-Every assembled certificate (and every intermediate piece) is re-verified;
-a failed verification or a failed search at a theorem-guaranteed target
-raises ``ContradictionError`` because existence is proven, so the only honest
+Every assembled certificate and every intermediate piece is verified: each
+public call opens a session for its request only (nested calls join it), in
+which each recursive subproblem is built once and every distinct certificate
+is verified once per request (``verify`` depends only on its value).  A failed
+verification or a failed search at a theorem-guaranteed target raises
+``ContradictionError`` because existence is proven, so the only honest
 explanations are a bug or a counterexample.
 """
 
 from __future__ import annotations
+
+from contextvars import ContextVar
+from functools import wraps
 
 from .bounds import pivot_component
 from .errors import BudgetExceededError, ContradictionError, InputError
@@ -46,16 +52,45 @@ from .stanley import (
 )
 
 
+# (builder results, verified certificates) of the open request, else None.
+_SESSION: ContextVar[tuple[dict, set] | None] = ContextVar("_SESSION", default=None)
+
+
+def _per_request(build):
+    """Memoize by arguments for the rest of the request; exceptions are not kept.
+
+    The outermost call opens the request's session and closes it on exit.
+    """
+    @wraps(build)
+    def run(*args, **kwargs):
+        session = _SESSION.get()
+        if session is None:
+            token = _SESSION.set(({}, set()))
+            try:
+                return run(*args, **kwargs)
+            finally:
+                _SESSION.reset(token)
+        key = (build, args, tuple(kwargs.items()))
+        if key not in session[0]:
+            session[0][key] = build(*args, **kwargs)
+        return session[0][key]
+    return run
+
+
 def _checked(dec: StanleyDecomposition, context: str) -> StanleyDecomposition:
-    report = verify(dec)
-    if not report.valid:
-        raise ContradictionError(
-            f"{context}: certificate failed verification "
-            f"({report.failure} at {report.witness})"
-        )
+    verified = _SESSION.get()[1]
+    if dec not in verified:
+        report = verify(dec)
+        if not report.valid:
+            raise ContradictionError(
+                f"{context}: certificate failed verification "
+                f"({report.failure} at {report.witness})"
+            )
+        verified.add(dec)
     return dec
 
 
+@_per_request
 def _oracle_certificate(
     module: ModulePresentation, target: int, budget: int, guarantee: str
 ) -> StanleyDecomposition:
@@ -93,22 +128,17 @@ def _unit_vector(n: int, positions: tuple[int, ...]) -> tuple[int, ...]:
 # Layers I^k/I^{k+1}
 
 
+@_per_request
 def decompose_layer(
     graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> StanleyDecomposition:
     """A verified decomposition of I^k/I^{k+1} with sdepth >= p (k >= 0)."""
     if k < 0:
         raise InputError(f"layer index {k} must be nonnegative")
-    labels = tuple(range(1, graph.n + 1))
-    dec = _layer_on(graph, labels, k, budget)
-    ideal = graph.edge_ideal()
-    module = ModulePresentation.power_layer(ideal, k)
-    out = StanleyDecomposition(module, dec.spaces)
-    if module.is_zero():
-        return out
-    return _checked(out, f"layer k={k}")
+    return _layer_on(graph, tuple(range(1, graph.n + 1)), k, budget)
 
 
+@_per_request
 def _layer_on(
     graph: Graph, labels: tuple[int, ...], k: int, budget: int
 ) -> StanleyDecomposition:
@@ -118,24 +148,26 @@ def _layer_on(
     module = ModulePresentation.power_layer(ideal, k)
     if module.is_zero():
         return StanleyDecomposition(module, ())
-    supp = tuple(v for v in labels if v in set(graph.edge_support()))
-    free_positions = _positions(tuple(v for v in labels if v not in set(supp)), labels)
+    edge_support = set(graph.edge_support())
+    supp = tuple(v for v in labels if v in edge_support)
+    free_positions = _positions(tuple(v for v in labels if v not in edge_support), labels)
     if not supp:
         # zero edge ideal and a nonzero layer: k = 0 and the module is the ring
         space = StanleySpace((0,) * m, frozenset(range(1, m + 1)))
-        return StanleyDecomposition(module, (space,))
+        ring = StanleyDecomposition(module, (space,))
+        return _checked(ring, f"layer over {labels} at k={k}")
+    label_set = set(labels)
     comps = [
-        c
-        for c in graph.components()
-        if set(c) <= set(labels) and graph.induced_edges(c)
+        c for c in graph.components() if label_set.issuperset(c) and graph.induced_edges(c)
     ]
     core = _layer_blocks(graph, tuple(comps), k, budget)
-    lifted = embed(core, _positions(tuple(sorted(set(supp))), labels), module)
+    lifted = embed(core, _positions(supp, labels), module)
     if free_positions:
         lifted = free_extend(lifted, free_positions, module)
     return _checked(lifted, f"layer over {labels} at k={k}")
 
 
+@_per_request
 def _layer_blocks(
     graph: Graph, comps: tuple[tuple[int, ...], ...], k: int, budget: int
 ) -> StanleyDecomposition:
@@ -179,6 +211,7 @@ def _layer_blocks(
 # Quotients S/I^k
 
 
+@_per_request
 def decompose_s_mod_power(
     graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> StanleyDecomposition:
@@ -199,6 +232,7 @@ def decompose_s_mod_power(
 # Powers of tree ideals
 
 
+@_per_request
 def decompose_power_tree(
     graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> StanleyDecomposition:
@@ -219,6 +253,7 @@ def decompose_power_tree(
     return _checked(lifted, f"tree power k={k}")
 
 
+@_per_request
 def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     """Recursive decomposition of I(tree)^k over the tree's own coordinates."""
     labels = tuple(sorted(tree.vertices))
@@ -244,15 +279,11 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     pieces = []
 
     # monomials without the leaf variable: the power of the smaller tree
-    smaller = tree.delete_vertices({leaf})
-    rest_labels = tuple(v for v in labels if v != leaf)
-    sub_power = smaller.edge_ideal().restrict(rest_labels).extend(
-        _positions(rest_labels, labels), m
-    ) ** k
+    smaller = _tree_power(tree.delete_vertices({leaf}), k, budget)
+    rest_positions = _positions(tuple(v for v in labels if v != leaf), labels)
+    sub_power = smaller.module.upper.extend(rest_positions, m)
     piece_module = ModulePresentation.make(m, leaf_var * sub_power, sub_power)
-    piece = embed(
-        _tree_power(smaller, k, budget), _positions(rest_labels, labels), piece_module
-    )
+    piece = embed(smaller, rest_positions, piece_module)
     pieces.append(_checked(piece, "leaf-free part"))
 
     # leaf-multiples avoiding the stem: the leaf's only neighbor is the stem,
@@ -268,7 +299,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
             budget,
             "every nonzero monomial ideal has a depth-one decomposition",
         )
-        upper = leaf_var * pruned_ideal.extend(_positions(t_labels, labels), m) ** k
+        upper = leaf_var * base.module.upper.extend(_positions(t_labels, labels), m)
         lower = MonomialIdeal.make(m, [_unit_vector(m, (pos_stem,))]) * upper
         piece_module = ModulePresentation.make(m, lower, upper)
         lifted = embed(base, _positions(t_labels, labels), piece_module)
@@ -278,9 +309,10 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
 
     # multiples of the leaf edge: the previous power, shifted by the edge
     edge_shift = _unit_vector(m, (pos_leaf, pos_stem))
-    upper = MonomialIdeal.make(m, [edge_shift]) * ideal ** (k - 1)
+    previous = _tree_power(tree, k - 1, budget)
+    upper = MonomialIdeal.make(m, [edge_shift]) * previous.module.upper
     piece_module = ModulePresentation.make(m, MonomialIdeal.zero(m), upper)
-    piece = shift(_tree_power(tree, k - 1, budget), edge_shift, piece_module)
+    piece = shift(previous, edge_shift, piece_module)
     pieces.append(_checked(piece, "edge-multiple part"))
 
     return _checked(concat(pieces, module), f"tree power over {labels} at k={k}")
@@ -290,6 +322,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
 # Powers of arbitrary edge ideals
 
 
+@_per_request
 def decompose_power_general(
     graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> StanleyDecomposition:
@@ -304,10 +337,7 @@ def decompose_power_general(
         raise InputError(f"power {k} must be positive")
     if not graph.has_edges():
         raise InputError("the edge ideal is zero; I^k has no elements")
-    labels = tuple(range(1, graph.n + 1))
-    module = ModulePresentation.of_ideal(graph.edge_ideal() ** k)
-    dec = _power_on(graph, labels, k, budget)
-    return _checked(StanleyDecomposition(module, dec.spaces), f"power k={k}")
+    return _power_on(graph, tuple(range(1, graph.n + 1)), k, budget)
 
 
 def _power_on(
@@ -319,19 +349,20 @@ def _power_on(
     ideal = full.restrict(labels)
     module = ModulePresentation.of_ideal(ideal**k)
     pivot = pivot_component(graph)
+    pivot_set = set(pivot)
     pivot_positions = _positions(pivot, labels)
     edge_comps = [c for c in graph.components() if graph.induced_edges(c)]
 
     if len(edge_comps) == 1:
         base = _power_base(graph, pivot, k, budget)
         lifted = embed(base, pivot_positions, module)
-        others = tuple(j + 1 for j, v in enumerate(labels) if v not in set(pivot))
+        others = tuple(j + 1 for j, v in enumerate(labels) if v not in pivot_set)
         if others:
             lifted = free_extend(lifted, others, module)
         return _checked(lifted, f"single-component power k={k}")
 
     rest_graph = graph.delete_vertices(pivot)
-    rest_labels = tuple(v for v in labels if v not in set(pivot))
+    rest_labels = tuple(v for v in labels if v not in pivot_set)
     rest_positions = _positions(rest_labels, labels)
     left = full.restrict(pivot).extend(pivot_positions, m)
     right = rest_graph.edge_ideal().restrict(rest_labels).extend(rest_positions, m)
@@ -365,6 +396,7 @@ def _power_on(
     return _checked(concat(pieces, module), f"power over {labels} at k={k}")
 
 
+@_per_request
 def _power_base(
     graph: Graph, comp: tuple[int, ...], k: int, budget: int
 ) -> StanleyDecomposition:

@@ -29,8 +29,8 @@ _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 def as_degree(exponents: Sequence[int], n: int | None = None) -> Multidegree:
     """Coerce to a validated exponent tuple, optionally enforcing length n."""
-    deg = tuple(int(e) for e in exponents)
-    if any(e < 0 for e in deg):
+    deg = tuple(map(int, exponents))
+    if deg and min(deg) < 0:
         raise InputError(f"negative exponent in {deg}")
     if n is not None and len(deg) != n:
         raise InputError(f"expected a multidegree of length {n}, got {deg}")
@@ -124,7 +124,7 @@ class MonomialIdeal:
 
     def subset_of(self, other: "MonomialIdeal") -> bool:
         self._check_ambient(other)
-        return all(other.contains(g) for g in self.gens)
+        return all(any(all(map(le, h, g)) for h in other.gens) for g in self.gens)
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)

@@ -199,9 +199,10 @@ def verify(dec: StanleyDecomposition) -> VerificationReport:
     ``BOX_POINT_CAP`` points raise BudgetExceededError before any allocation.
     """
     n = dec.module.n
+    variables = frozenset(range(1, n + 1))
     for s in dec.spaces:
         as_degree(s.u, n)  # raises InputError on a wrong length or a negative exponent
-        if not s.Z <= frozenset(range(1, n + 1)):
+        if not s.Z <= variables:
             raise InputError(f"space variables {sorted(s.Z)} out of range 1..{n}")
     box = Box(_verification_box(dec))
     basis = box.up(dec.module.upper.gens) & ~box.up(dec.module.lower.gens)

@@ -1,11 +1,16 @@
 """Constructed certificates: every emitted decomposition verifies, reaches its
 certified bound, and never overshoots the exact oracle."""
 
+import hashlib
+import json
+
 import pytest
 
 from stanley_lab import (
     BudgetExceededError,
+    ContradictionError,
     InputError,
+    StanleyDecomposition,
     StanleySpace,
     decompose_layer,
     decompose_power_general,
@@ -15,14 +20,27 @@ from stanley_lab import (
     sdepth_exact,
     verify,
 )
+from stanley_lab import constructions
 from stanley_lab.bounds import module_for
-from stanley_lab.graphs import Graph, parse_graph, preset
+from stanley_lab.graphs import Graph, enumerate_trees, parse_graph, preset
+
+MULTI_COMPONENT = ("cycle:3+path:3", "path:3+path:2", "cycle:4+path:2")
 
 
 def checked(dec):
     report = verify(dec)
     assert report.valid, (report.failure, report.witness)
     return report
+
+
+def pinned(decs):
+    """Total space count and a digest of every certificate's JSON, in order."""
+    digest = hashlib.sha256()
+    total = 0
+    for dec in decs:
+        total += len(dec.spaces)
+        digest.update(json.dumps(dec.to_json(), sort_keys=True).encode())
+    return total, digest.hexdigest()[:16]
 
 
 def test_layer_single_edge():
@@ -183,6 +201,81 @@ def test_constructions_respect_exact_oracle():
 def test_budget_propagates():
     with pytest.raises(BudgetExceededError):
         decompose_power_tree(preset("path:5"), 2, budget=1)
+    # the failed request leaves no session open, and nothing of it is reused
+    assert constructions._SESSION.get() is None
+    assert pinned([decompose_power_tree(preset("path:5"), 2)]) == (38, "d298ae28b2666ccf")
+
+
+# Certificates, space order included, as built before construction sessions.
+def test_tree_power_certificates_pinned():
+    decs = (
+        decompose_power_tree(tree, k)
+        for n in range(2, 7)
+        for tree in enumerate_trees(n)
+        for k in (1, 2, 3)
+    )
+    assert pinned(decs) == (2170, "a6b7ad4d42ddcfa0")
+
+
+def test_multi_component_certificates_pinned():
+    graphs = [parse_graph(spec) for spec in MULTI_COMPONENT]
+    quotients = (decompose_s_mod_power(g, k) for g in graphs for k in (2, 3))
+    assert pinned(quotients) == (716, "9a42fdca36324a3b")
+    powers = (decompose_power_general(g, k) for g in graphs for k in (1, 2))
+    assert pinned(powers) == (177, "f511ede237598c59")
+
+
+@pytest.mark.parametrize(
+    "build, spec, k",
+    [
+        (decompose_s_mod_power, "cycle:3+path:3", 3),
+        (decompose_power_general, "cycle:4+path:2", 2),
+        (decompose_power_tree, "path:5", 3),
+    ],
+)
+def test_each_distinct_certificate_verified_once(monkeypatch, build, spec, k):
+    reached, verified = [], []
+    real_checked, real_verify = constructions._checked, constructions.verify
+
+    def counting_checked(dec, context):
+        reached.append((dec.module, dec.spaces))
+        return real_checked(dec, context)
+
+    def counting_verify(dec):
+        verified.append((dec.module, dec.spaces))
+        return real_verify(dec)
+
+    monkeypatch.setattr(constructions, "_checked", counting_checked)
+    monkeypatch.setattr(constructions, "verify", counting_verify)
+    graph = parse_graph(spec)
+    build(graph, k)
+    calls = len(verified)
+    assert len(set(verified)) == calls == len(set(reached)) < len(reached)
+    assert set(verified) == set(reached)
+    # a second identical request shares nothing with the first
+    build(graph, k)
+    assert len(verified) == 2 * calls
+    assert constructions._SESSION.get() is None
+
+
+@pytest.mark.parametrize(
+    "combinator, build, spec, k",
+    [
+        ("shift", decompose_power_tree, "path:4", 2),
+        ("concat", decompose_s_mod_power, "cycle:3+path:3", 2),
+    ],
+)
+def test_broken_combinator_raises_contradiction(monkeypatch, combinator, build, spec, k):
+    real = getattr(constructions, combinator)
+
+    def drop_one_space(*args):
+        dec = real(*args)
+        return StanleyDecomposition(dec.module, dec.spaces[1:])
+
+    monkeypatch.setattr(constructions, combinator, drop_one_space)
+    with pytest.raises(ContradictionError, match="failed verification"):
+        build(parse_graph(spec), k)
+    assert constructions._SESSION.get() is None
 
 
 def test_every_construction_meets_engine_bound_small_sweep():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stanley_lab import BudgetExceededError, InputError, MonomialIdeal, divides, minimalize
-from stanley_lab.monomials import iter_box, members_in_box
+from stanley_lab.monomials import as_degree, iter_box, members_in_box
 
 P3 = MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)])
 
@@ -53,6 +53,20 @@ def test_minimalize_matches_bruteforce(gens):
     degs = {tuple(g) for g in gens}
     kept = [d for d in degs if not any(e != d and divides(e, d) for e in degs)]
     assert minimalize(gens, 3) == tuple(sorted(kept))
+
+
+def test_as_degree_validates():
+    assert as_degree(["1", "0", "2"], 3) == (1, 0, 2)  # string digits are coerced
+    assert as_degree([]) == ()
+    with pytest.raises(InputError, match="negative"):
+        as_degree((1, -1), 2)
+    with pytest.raises(InputError, match="length 3"):
+        as_degree((1, 1), 3)
+    with pytest.raises(InputError, match="length 2"):
+        as_degree([], 2)
+    # both faults at once: the negative exponent is reported first
+    with pytest.raises(InputError, match="negative"):
+        as_degree((-1,), 3)
 
 
 def test_contains_basic():
@@ -184,6 +198,14 @@ def test_minimalize_idempotent(ideal):
 @given(ideals(), st.tuples(*(st.integers(0, 3) for _ in range(4))))
 def test_contains_agrees_with_bruteforce(ideal, a):
     assert ideal.contains(a) == brute_contains(ideal, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals(), ideals())
+@example(P3.extend((1, 2, 3), 4), (P3**2).extend((1, 2, 3), 4))
+@example((P3**2).extend((1, 2, 3), 4), P3.extend((1, 2, 3), 4))
+def test_subset_of_matches_contains(ideal, other):
+    assert ideal.subset_of(other) == all(other.contains(g) for g in ideal.gens)
 
 
 @settings(max_examples=30, deadline=None)
