@@ -78,15 +78,22 @@ def _per_request(build):
 
 
 def _checked(dec: StanleyDecomposition, context: str) -> StanleyDecomposition:
+    """Verify dec unless this request already has; hashes dec once when new."""
     verified = _SESSION.get()[1]
-    if dec not in verified:
+    known = len(verified)
+    verified.add(dec)
+    if len(verified) == known:
+        return dec
+    try:
         report = verify(dec)
         if not report.valid:
             raise ContradictionError(
                 f"{context}: certificate failed verification "
                 f"({report.failure} at {report.witness})"
             )
-        verified.add(dec)
+    except BaseException:
+        verified.discard(dec)
+        raise
     return dec
 
 

@@ -294,22 +294,42 @@ def canonical_tree_form(g: Graph) -> str:
     return min(code(c, 0) for c in layer)
 
 
-def enumerate_trees(n: int, up_to_iso: bool = True) -> list[Graph]:
-    """Trees on n labeled vertices; deduplicated by isomorphism class by default."""
+def free_tree_count(n: int) -> int:
+    """The number of trees on n unlabeled vertices (OEIS A000055), n >= 1.
+
+    Rooted-tree counts r (OEIS A000081) follow the Cayley-Polya recurrence
+    m r(m+1) = sum_k (sum_{d|k} d r(d)) r(m-k+1); Otter's formula then gives
+    t(n) = r(n) - (sum_{i+j=n} r(i) r(j) - r(n/2) [n even]) / 2.
+    """
+    r = [0, 1]
+    divisor_sums = [0, 1]  # sum_{d|k} d r(d), by k
+    for m in range(1, n):
+        r.append(sum(divisor_sums[k] * r[m - k + 1] for k in range(1, m + 1)) // m)
+        divisor_sums.append(sum(d * r[d] for d in range(1, m + 2) if (m + 1) % d == 0))
+    pairs = sum(r[i] * r[n - i] for i in range(1, n)) - (r[n // 2] if n % 2 == 0 else 0)
+    return r[n] - pairs // 2
+
+
+def enumerate_trees(n: int) -> list[Graph]:
+    """One labeled tree on 1..n per isomorphism class, in Pruefer-sequence order.
+
+    The walk over the n^(n-2) Pruefer sequences keeps each tree whose class
+    (``canonical_tree_form``) is new, and stops once it has kept
+    ``free_tree_count(n)`` trees: the list equals the one a full walk keeps.
+    """
     if n < 1:
         raise InputError("trees need at least one vertex")
     if n == 1:
         return [Graph.make(1, [])]
-    if n == 2:
-        return [Graph.make(2, [(1, 2)])]
+    total = free_tree_count(n)
     trees = []
     seen = set()
     for seq in cartesian(range(1, n + 1), repeat=n - 2):
         g = Graph.make(n, _prufer_to_edges(seq, n))
-        if up_to_iso:
-            key = canonical_tree_form(g)
-            if key in seen:
-                continue
+        key = canonical_tree_form(g)
+        if key not in seen:
             seen.add(key)
-        trees.append(g)
+            trees.append(g)
+            if len(trees) == total:
+                break
     return trees

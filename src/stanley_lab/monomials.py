@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, groupby, product as lattice_product
-from operator import le, mul
+from operator import add, le, mul, xor
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputError
@@ -45,7 +45,7 @@ def divides(a: Multidegree, b: Multidegree) -> bool:
 
 
 def deg_add(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def deg_lcm(a: Multidegree, b: Multidegree) -> Multidegree:
@@ -70,11 +70,21 @@ def iter_box(corner: Multidegree) -> Iterator[Multidegree]:
 def minimalize(gens: Iterable[Sequence[int]], n: int) -> tuple[Multidegree, ...]:
     """The unique minimal generating set: divisibility-redundant degrees dropped.
 
+    Each distinct degree is validated in input order, so the first bad one is
+    the one reported.
+    """
+    return _reduce(as_degree(g, n) for g in dict.fromkeys(map(tuple, gens)))
+
+
+def _reduce(degrees: Iterable[Multidegree]) -> tuple[Multidegree, ...]:
+    """``minimalize`` of degrees that are already valid, such as the degrees
+    built from the generators of existing ideals.
+
     A proper divisor has strictly smaller total degree, so each degree is
     checked only against kept degrees of smaller total degree: none for an
     equigenerated set, such as any power of an edge ideal.
     """
-    degs = sorted({as_degree(g, n) for g in dict.fromkeys(map(tuple, gens))}, key=sum)
+    degs = sorted(set(degrees), key=sum)
     kept: list[Multidegree] = []
     for _, layer in groupby(degs, key=sum):
         # the comprehension reads kept before this layer is added to it
@@ -128,12 +138,12 @@ class MonomialIdeal:
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)
-        return MonomialIdeal.make(self.n, self.gens + other.gens)
+        return MonomialIdeal(self.n, _reduce(self.gens + other.gens))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)
-        return MonomialIdeal.make(
-            self.n, (deg_add(a, b) for a in self.gens for b in other.gens)
+        return MonomialIdeal(
+            self.n, _reduce(deg_add(a, b) for a in self.gens for b in other.gens)
         )
 
     def __pow__(self, k: int) -> "MonomialIdeal":
@@ -146,14 +156,14 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)
-        return MonomialIdeal.make(
-            self.n, (deg_lcm(a, b) for a in self.gens for b in other.gens)
+        return MonomialIdeal(
+            self.n, _reduce(deg_lcm(a, b) for a in self.gens for b in other.gens)
         )
 
     def colon(self, m: Sequence[int]) -> "MonomialIdeal":
         """The colon ideal (I : x^m)."""
         deg = as_degree(m, self.n)
-        return MonomialIdeal.make(self.n, (deg_colon(g, deg) for g in self.gens))
+        return MonomialIdeal(self.n, _reduce(deg_colon(g, deg) for g in self.gens))
 
     def restrict(self, labels: Sequence[int]) -> "MonomialIdeal":
         """I intersected with K[x_j : j in labels], re-indexed to ambient len(labels).
@@ -279,6 +289,26 @@ class Box:
             for _ in range(c):
                 bits |= (bits << s) & mask
         return bits
+
+    def levels(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
+        """Per axis j the pair ``(eq, ge)``: ``eq[v]`` holds the points with
+        a_j == v and ``ge[v]`` those with a_j >= v, for v in 0..corner[j].
+
+        Each ``ge[v + 1]`` is ``ge[v]`` moved up one step along j by the
+        shift-and-mask step of ``up``.  The table is 2 * sum(c_j + 1) bitsets
+        of ``size`` bits; None when that is over ``BOX_POINT_CAP`` bits.
+        """
+        if 2 * sum(c + 1 for c in self.corner) * self.size > BOX_POINT_CAP:
+            return None
+        full = (1 << self.size) - 1
+        table = []
+        for s, c, mask in zip(self.strides, self.corner, self.masks):
+            ge = [full]
+            for _ in range(c):
+                ge.append((ge[-1] << s) & mask)
+            eq = tuple(map(xor, ge, ge[1:] + [0]))
+            table.append((eq, tuple(ge)))
+        return tuple(table)
 
     def cone(self, u: Multidegree, axes: Iterable[int]) -> int:
         """The points equal to u off ``axes`` (0-based) and >= u on them; u in the box."""

@@ -179,6 +179,30 @@ def _verification_box(dec: StanleyDecomposition) -> Multidegree:
     return tuple(max(col) + 1 for col in zip(generator_corner(dec.module), *shifts))
 
 
+def _check_spaces(spaces: Sequence[StanleySpace], n: int) -> None:
+    """Raise InputError at the first space with a bad shift or Z set.
+
+    Bulk passes over all shifts and the distinct Z sets accept the common
+    valid input; only when one fails does the per-space loop run, to report
+    the first bad space.
+    """
+    shifts = [s.u for s in spaces]
+    variables = frozenset(range(1, n + 1))
+    try:
+        if (
+            set(map(len, shifts)) <= {n}
+            and min(chain.from_iterable(shifts), default=0) >= 0
+            and variables.issuperset(chain.from_iterable({s.Z for s in spaces}))
+        ):
+            return
+    except TypeError:  # a non-integer exponent: as_degree below reports it
+        pass
+    for s in spaces:
+        as_degree(s.u, n)  # raises InputError on a wrong length or a negative exponent
+        if not s.Z <= variables:
+            raise InputError(f"space variables {sorted(s.Z)} out of range 1..{n}")
+
+
 def verify(dec: StanleyDecomposition) -> VerificationReport:
     """Check that the spaces partition the module basis exactly.
 
@@ -188,9 +212,12 @@ def verify(dec: StanleyDecomposition) -> VerificationReport:
     predicates, so agreement on the box implies agreement everywhere.
 
     The box is a ``Box`` bitset whose bit order is the lexicographic order of
-    its points.  The basis is ``up(upper) & ~up(lower)``, and a space (u, Z)
-    is the sub-box ``(1 << index(u)) * prod_{j in Z} repunit_j`` (no carries:
-    its points have distinct bits).  Spaces are checked in order against the
+    its points.  The basis is ``up(upper) & ~up(lower)``.  A space (u, Z) is
+    the AND over the axes j of the level mask ``a_j >= u_j`` for j in Z and
+    ``a_j == u_j`` otherwise, read from ``Box.levels``, which is built once
+    per call.  That table holds 2 * sum(B_j + 1) box bitsets; when it would
+    exceed ``BOX_POINT_CAP`` bits, each space is instead tiled from its
+    corner point by ``Box.cone``.  Spaces are checked in order against the
     basis points not yet covered; the first bad space reports its lowest bad
     bit, which is the lexicographically first of its points that is outside
     the module or already covered.  That is the point, and the failure kind,
@@ -199,16 +226,18 @@ def verify(dec: StanleyDecomposition) -> VerificationReport:
     ``BOX_POINT_CAP`` points raise BudgetExceededError before any allocation.
     """
     n = dec.module.n
-    variables = frozenset(range(1, n + 1))
-    for s in dec.spaces:
-        as_degree(s.u, n)  # raises InputError on a wrong length or a negative exponent
-        if not s.Z <= variables:
-            raise InputError(f"space variables {sorted(s.Z)} out of range 1..{n}")
+    _check_spaces(dec.spaces, n)
     box = Box(_verification_box(dec))
     basis = box.up(dec.module.upper.gens) & ~box.up(dec.module.lower.gens)
+    levels = box.levels()
     remaining = basis
     for s in dec.spaces:
-        cone = box.cone(s.u, (z - 1 for z in s.Z))
+        if levels is None:
+            cone = box.cone(s.u, (z - 1 for z in s.Z))
+        else:
+            cone = -1  # all ones, cut down to the box by the first mask
+            for j, (v, eq_ge) in enumerate(zip(s.u, levels), 1):
+                cone &= eq_ge[j in s.Z][v]
         bad = cone & ~remaining
         if bad:
             failure = "double-covered" if bad & -bad & basis else "outside-module"

@@ -278,6 +278,31 @@ def test_broken_combinator_raises_contradiction(monkeypatch, combinator, build, 
     assert constructions._SESSION.get() is None
 
 
+def test_failed_piece_is_verified_again_in_the_same_session(monkeypatch):
+    real_verify = constructions.verify
+    verified = []
+
+    def counting_verify(dec):
+        verified.append(dec)
+        return real_verify(dec)
+
+    dec = decompose_power_tree(preset("path:4"), 2)
+    broken = StanleyDecomposition(dec.module, dec.spaces[1:])
+    monkeypatch.setattr(constructions, "verify", counting_verify)
+    token = constructions._SESSION.set(({}, set()))
+    try:
+        for _ in range(2):
+            with pytest.raises(ContradictionError, match="failed verification"):
+                constructions._checked(broken, "broken piece")
+        assert verified == [broken, broken]
+        assert broken not in constructions._SESSION.get()[1]
+        constructions._checked(dec, "whole")
+        constructions._checked(dec, "whole again")
+        assert verified == [broken, broken, dec]
+    finally:
+        constructions._SESSION.reset(token)
+
+
 def test_every_construction_meets_engine_bound_small_sweep():
     from stanley_lab.graphs import enumerate_labeled_graphs
 

@@ -1,9 +1,17 @@
 """Graph invariants: components, bipartiteness, trees, deletion, edge ideals."""
 
+from itertools import product
+
 import pytest
 
 from stanley_lab import Graph, InputError, disjoint_union, parse_graph, preset
-from stanley_lab.graphs import canonical_tree_form, enumerate_labeled_graphs, enumerate_trees
+from stanley_lab.graphs import (
+    _prufer_to_edges,
+    canonical_tree_form,
+    enumerate_labeled_graphs,
+    enumerate_trees,
+    free_tree_count,
+)
 
 
 def brute_has_odd_cycle(graph, comp):
@@ -136,6 +144,38 @@ def test_json_roundtrip(tmp_path):
 def test_enumerate_trees_up_to_iso_counts():
     # unlabeled tree counts for n = 1..6
     assert [len(enumerate_trees(n)) for n in range(1, 7)] == [1, 1, 1, 2, 3, 6]
+
+
+def exhaustive_trees(n):
+    """The full Pruefer walk: the first tree of each class, over all n^(n-2)
+    sequences."""
+    if n == 1:
+        return [Graph.make(1, [])]
+    trees, seen = [], set()
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        g = Graph.make(n, _prufer_to_edges(seq, n))
+        key = canonical_tree_form(g)
+        if key not in seen:
+            seen.add(key)
+            trees.append(g)
+    return trees
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_trees_stops_at_the_last_class(n):
+    assert enumerate_trees(n) == exhaustive_trees(n)
+
+
+def test_free_tree_count_matches_oeis():
+    # OEIS A000055, n = 1..12
+    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    assert [free_tree_count(n) for n in range(1, 13)] == expected
+
+
+def test_free_tree_count_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 11):
+        assert free_tree_count(n) == sum(1 for _ in nx.nonisomorphic_trees(n)), n
 
 
 def test_canonical_form_identifies_isomorphic():

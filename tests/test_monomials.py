@@ -208,6 +208,18 @@ def test_subset_of_matches_contains(ideal, other):
     assert ideal.subset_of(other) == all(other.contains(g) for g in ideal.gens)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_degrees, small_degrees)
+@example([], [(1, 0, 0, 0)])
+@example([(0, 0, 0, 0)], [(2, 1, 0, 0), (1, 1, 1, 1)])
+def test_sum_and_product_match_make_on_raw_degrees(left, right):
+    # the operations reduce stored generators without re-validating them
+    ideal, other = MonomialIdeal.make(4, left), MonomialIdeal.make(4, right)
+    raw_products = [[x + y for x, y in zip(a, b)] for a in left for b in right]
+    assert ideal * other == MonomialIdeal.make(4, raw_products)
+    assert ideal + other == MonomialIdeal.make(4, [list(g) for g in left + right])
+
+
 @settings(max_examples=30, deadline=None)
 @given(ideals(), st.integers(0, 2), st.integers(0, 2))
 def test_power_is_additive(ideal, s, t):

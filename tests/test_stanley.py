@@ -1,6 +1,7 @@
 """Presentations, Stanley spaces, the box verifier, and the combinators."""
 
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 
 import pytest
 
@@ -14,13 +15,18 @@ from stanley_lab import (
     basis_in_box,
     concat,
     decompose_power_general,
+    decompose_power_tree,
+    decompose_s_mod_power,
     embed,
+    enumerate_trees,
     free_extend,
     parse_graph,
     shift,
     tensor,
     verify,
 )
+from stanley_lab.monomials import Box
+from stanley_lab.stanley import _verification_box
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -35,13 +41,18 @@ def brute_basis(module, corner):
     return out
 
 
+@lru_cache(maxsize=8)
+def cached_brute_basis(module, corner):
+    return frozenset(brute_basis(module, corner))
+
+
 def reference_verify(dec):
     """The point-by-point verifier: walk every space's points in order over the
     box one above all generator and shift exponents, against a set basis."""
     n = dec.module.n
     exps = (*dec.module.lower.gens, *dec.module.upper.gens, *(s.u for s in dec.spaces))
     corner = tuple(max(col) + 1 for col in zip((0,) * n, *exps))
-    basis = brute_basis(dec.module, corner)
+    basis = cached_brute_basis(dec.module, corner)
     covered = set()
     for s in dec.spaces:
         ranges = [
@@ -76,14 +87,60 @@ def perturbations(dec):
             yield rest[:i] + [StanleySpace(s.u, s.Z ^ {j + 1})] + rest[i:]
 
 
-@pytest.mark.parametrize(
-    "spec,k",
-    [("path:3", 2), ("cycle:3", 2), ("star:3", 2), ("path:2+path:2", 2), ("cycle:4", 2)],
-)
-def test_verify_matches_reference_verifier(spec, k):
-    dec = decompose_power_general(parse_graph(spec), k)
+def general_power(spec, k):
+    return lambda: decompose_power_general(parse_graph(spec), k)
+
+
+def embedded_quotient():
+    """S/I^2 of path:3 moved to variables 1, 3, 5 of 5; x2 and x4 lie in the
+    ideal, so no space uses coordinates 2 and 4."""
+    dec = decompose_s_mod_power(parse_graph("path:3"), 2)
+    units = MonomialIdeal.make(5, [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
+    ideal = dec.module.lower.extend((1, 3, 5), 5) + units
+    return embed(dec, (1, 3, 5), ModulePresentation.quotient_ring(ideal))
+
+
+def free_extended_power():
+    """I^2 of path:3 moved into 5 variables, with x4 and x5 acting freely."""
+    dec = decompose_power_general(parse_graph("path:3"), 2)
+    module = ModulePresentation.of_ideal(dec.module.upper.extend((1, 2, 3), 5))
+    return free_extend(embed(dec, (1, 2, 3), module), (4, 5), module)
+
+
+def largest_tree_power():
+    """I^3 of a 6-vertex tree: the largest verify box of certify-trees."""
+    return decompose_power_tree(enumerate_trees(6)[0], 3)
+
+
+def tiled_quotient():
+    """S/(x1^3000) in 2 variables as 3,000 spaces: its level table would exceed
+    BOX_POINT_CAP bits, so verify tiles each space instead."""
+    module = ModulePresentation.quotient_ring(MonomialIdeal.make(2, [(3000, 0)]))
+    spaces = tuple(StanleySpace((a, 0), frozenset({2})) for a in range(3000))
+    return StanleyDecomposition(module, spaces)
+
+
+# (builder, every how many perturbations to check, whether the level table fits)
+VERIFY_CASES = [
+    *(
+        pytest.param(general_power(spec, k), 1, True, id=f"{spec}-{k}")
+        for spec, k in [("path:3", 2), ("cycle:3", 2), ("star:3", 2), ("path:2+path:2", 2), ("cycle:4", 2)]
+    ),
+    pytest.param(embedded_quotient, 1, True, id="embedded"),
+    pytest.param(free_extended_power, 1, True, id="free-extended"),
+    pytest.param(largest_tree_power, 23, True, id="tree6-3"),
+    pytest.param(tiled_quotient, 1499, False, id="tiled-x1^3000"),
+]
+
+
+@pytest.mark.parametrize("build, stride, fits", VERIFY_CASES)
+def test_verify_matches_reference_verifier(build, stride, fits):
+    dec = build()
+    assert reference_verify(dec)[0]
+    assert (Box(_verification_box(dec)).levels() is not None) == fits
     decs = [dec] + [
-        StanleyDecomposition(dec.module, tuple(spaces)) for spaces in perturbations(dec)
+        StanleyDecomposition(dec.module, tuple(spaces))
+        for spaces in islice(perturbations(dec), 0, None, stride)
     ]
     kinds = set()
     for d in decs:
@@ -92,6 +149,32 @@ def test_verify_matches_reference_verifier(spec, k):
         assert got == reference_verify(d), d.spaces
         kinds.add(report.failure)
     assert kinds == {None, "outside-module", "double-covered", "uncovered"}
+
+
+# A valid decomposition of S/(xy), and bad spaces with the message each raises.
+XY_SPACES = [StanleySpace((0, 0), frozenset({1})), StanleySpace((0, 1), frozenset({2}))]
+BAD_SPACES = [
+    (StanleySpace((0, 0, 0), frozenset()), "expected a multidegree of length 2, got (0, 0, 0)"),
+    (StanleySpace((1,), frozenset({1})), "expected a multidegree of length 2, got (1,)"),
+    (StanleySpace((0, -1), frozenset()), "negative exponent in (0, -1)"),
+    (StanleySpace((-1, 0, 0), frozenset()), "negative exponent in (-1, 0, 0)"),
+    (StanleySpace((0, 0), frozenset({3})), "space variables [3] out of range 1..2"),
+    (StanleySpace((1, 0), frozenset({0, 1})), "space variables [0, 1] out of range 1..2"),
+]
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad, message", BAD_SPACES)
+def test_verify_rejects_the_first_bad_space(bad, message, where):
+    spaces = XY_SPACES[:where] + [bad] + XY_SPACES[where:]
+    with pytest.raises(InputError) as info:
+        verify(StanleyDecomposition(S_MOD_XY, tuple(spaces)))
+    assert str(info.value) == message
+    # a bad space after it is not the one reported
+    for later, _ in BAD_SPACES:
+        with pytest.raises(InputError) as info:
+            verify(StanleyDecomposition(S_MOD_XY, tuple(spaces + [later])))
+        assert str(info.value) == message
 
 
 def test_verify_caps_the_box():
