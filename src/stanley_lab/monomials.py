@@ -283,7 +283,7 @@ class Box:
         """The points above some generator; generators outside the box are ignored."""
         bits = 0
         for g in gens:
-            if all(x <= c for x, c in zip(g, self.corner)):
+            if all(map(le, g, self.corner)):
                 bits |= 1 << self.index(g)
         for s, c, mask in zip(self.strides, self.corner, self.masks):
             for _ in range(c):

@@ -313,10 +313,18 @@ def embed(
         )
     if any(not 1 <= v <= module.n for v in labs):
         raise InputError(f"labels {labs} out of target range 1..{module.n}")
+    # Target coordinate t reads source coordinate source[t], or the zero
+    # appended after the source coordinates when no label lands on t.
+    source = [len(labs)] * module.n
+    for i, v in enumerate(labs):
+        source[v - 1] = i
+    relabel = (0,) + labs
+    image: dict[frozenset[int], frozenset[int]] = {}
     spaces = []
     for s in dec.spaces:
-        u = [0] * module.n
-        for e, v in zip(s.u, labs):
-            u[v - 1] = e
-        spaces.append(StanleySpace(tuple(u), frozenset(labs[z - 1] for z in s.Z)))
+        u = tuple(map((*s.u, 0).__getitem__, source))
+        Z = image.get(s.Z)
+        if Z is None:
+            Z = image[s.Z] = frozenset(map(relabel.__getitem__, s.Z))
+        spaces.append(StanleySpace(u, Z))
     return StanleyDecomposition(module, tuple(spaces))

@@ -4,18 +4,30 @@ Each driver returns one row per instance with an ``ok`` flag, so the CLI can
 aggregate them into a table and the acceptance suite can assert them.  Rows
 are produced in a deterministic order (sorted instance keys) regardless of
 worker count.
+
+The graph sweeps give a row to every labeled graph on at most ``nmax``
+vertices but run each claim once per isomorphism class.  Relabeling the
+vertices permutes the variables of S, a graded automorphism that carries
+I(G)^k to I(G')^k and every Stanley decomposition, Koszul complex and
+bipartite component of one graph to the other's.  So p, depth and sdepth of
+S/I^k, I^k and I^k/I^{k+1}, and the Stanley verdicts, are the same for every
+graph of a class, and a labeled graph's row carries its class
+representative's values.  A budget-truncated sdepth is a bound the search
+found for the representative, which holds for the whole class.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
+from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 from .bounds import (
     HOLDS,
+    KIND_LAYER,
     KIND_POWER,
     KIND_S_MOD,
+    _module_is_zero,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
@@ -25,6 +37,7 @@ from .bounds import (
 )
 from .constructions import decompose_power_tree
 from .depth import depth_by_trung, depth_exact
+from .errors import InputError
 from .graphs import Graph, enumerate_labeled_graphs, enumerate_trees, parse_graph
 from .monomials import MonomialIdeal
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
@@ -32,66 +45,95 @@ from .stanley import ModulePresentation, verify
 
 QUESTION_GRAPHS = ("cycle:4", "cycle:6", "path:4", "path:5", "star:3", "star:4")
 
+# The graph sweeps visit all 2^C(n,2) labeled graphs: 32,768 at n = 6, and
+# about 2M (with 5,040 images per class) at n = 7.
+MAX_SWEEP_VERTICES = 6
 
-def _graph_key(graph: Graph) -> tuple:
-    return (graph.n, graph.edges)
+
+def _check_nmax(nmax: int) -> None:
+    if not 1 <= nmax <= MAX_SWEEP_VERTICES:
+        raise InputError(f"nmax must be in 1..{MAX_SWEEP_VERTICES}, got {nmax}")
 
 
-def _all_graphs(nmax: int) -> list[Graph]:
+def isomorphism_classes(n: int) -> list[tuple[Graph, Graph]]:
+    """Every labeled graph on 1..n in sorted edge order, each paired with the
+    first graph of its isomorphism class in that order.
+
+    The first time a class is met, its graph's images under all n! vertex
+    permutations are marked with it; a graph already marked is in that class.
+    """
+    pairs = list(combinations(range(1, n + 1), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    images = [
+        [bit[min(s[i - 1], s[j - 1]), max(s[i - 1], s[j - 1])] for i, j in pairs]
+        for s in permutations(range(1, n + 1))
+    ]
+    rep_of: dict[int, Graph] = {}
     out = []
+    for graph in sorted(enumerate_labeled_graphs(n), key=lambda g: g.edges):
+        mask = sum(map(bit.__getitem__, graph.edges))
+        rep = rep_of.get(mask)
+        if rep is None:
+            rep = graph
+            set_bits = [i for i in range(len(pairs)) if mask >> i & 1]
+            for image in images:
+                rep_of[sum(image[i] for i in set_bits)] = rep
+        out.append((graph, rep))
+    return out
+
+
+def _per_class(nmax: int, values: Callable[[Graph], list[dict]]) -> list[dict]:
+    """Rows ``{"graph": ..., **value}`` for every labeled graph on at most nmax
+    vertices, in sorted order, with ``values`` run once per class."""
+    _check_nmax(nmax)
+    rows = []
     for n in range(1, nmax + 1):
-        out.extend(enumerate_labeled_graphs(n))
-    return sorted(out, key=_graph_key)
+        memo: dict[Graph, list[dict]] = {}
+        for graph, rep in isomorphism_classes(n):
+            if rep not in memo:
+                memo[rep] = values(rep)
+            rows.extend({"graph": graph.to_json(), **v} for v in memo[rep])
+    return rows
+
+
+def _sdepth_bound_sweep(
+    nmax: int, ks: Sequence[int], kind: str, bound: Callable[[Graph], int], budget: int
+) -> list[dict]:
+    """sdepth(module) >= bound(graph) with an exact oracle value, per nonzero module."""
+
+    def values(graph: Graph) -> list[dict]:
+        p = bound(graph)
+        out = []
+        for k in ks:
+            if _module_is_zero(graph, k, kind):
+                continue
+            result = sdepth_exact(module_for(graph, k, kind), budget)
+            out.append(
+                {
+                    "k": k,
+                    "bound": p,
+                    "sdepth": result.value,
+                    "exact": result.exact,
+                    "ok": result.exact and result.value >= p,
+                }
+            )
+        return out
+
+    return _per_class(nmax, values)
 
 
 def sweep_layer_bound(
     nmax: int, ks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """sdepth(I^k/I^{k+1}) >= p on every labeled graph, exactness required."""
-    rows = []
-    for graph in _all_graphs(nmax):
-        p = lower_sdepth_quotient_layers(graph)
-        for k in ks:
-            module = module_for(graph, k, "layer")
-            if module.is_zero():
-                continue
-            result = sdepth_exact(module, budget)
-            rows.append(
-                {
-                    "graph": graph.to_json(),
-                    "k": k,
-                    "bound": p,
-                    "sdepth": result.value,
-                    "exact": result.exact,
-                    "ok": result.exact and result.value >= p,
-                }
-            )
-    return rows
+    return _sdepth_bound_sweep(nmax, ks, KIND_LAYER, lower_sdepth_quotient_layers, budget)
 
 
 def sweep_s_mod_bound(
     nmax: int, ks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """sdepth(S/I^k) >= p (= n - l(I)) on every labeled graph."""
-    rows = []
-    for graph in _all_graphs(nmax):
-        p = lower_sdepth_s_mod_power(graph)
-        for k in ks:
-            module = module_for(graph, k, KIND_S_MOD)
-            if module.is_zero():
-                continue
-            result = sdepth_exact(module, budget)
-            rows.append(
-                {
-                    "graph": graph.to_json(),
-                    "k": k,
-                    "bound": p,
-                    "sdepth": result.value,
-                    "exact": result.exact,
-                    "ok": result.exact and result.value >= p,
-                }
-            )
-    return rows
+    return _sdepth_bound_sweep(nmax, ks, KIND_S_MOD, lower_sdepth_s_mod_power, budget)
 
 
 def _trung_ks(n: int) -> tuple[int, ...]:
@@ -100,39 +142,23 @@ def _trung_ks(n: int) -> tuple[int, ...]:
 
 def sweep_limit_depth(nmax: int) -> list[dict]:
     """depth(S/I^k) equals the bipartite component count once k >= n - 1."""
-    rows = []
-    for graph in _all_graphs(nmax):
+
+    def values(graph: Graph) -> list[dict]:
+        out = []
         for k in _trung_ks(graph.n):
             expected = depth_by_trung(graph, k)
-            module = module_for(graph, k, KIND_S_MOD)
-            measured = depth_exact(module)
-            rows.append(
+            measured = depth_exact(module_for(graph, k, KIND_S_MOD))
+            out.append(
                 {
-                    "graph": graph.to_json(),
                     "k": k,
                     "expected": expected,
                     "depth": measured,
                     "ok": expected is not None and measured == expected,
                 }
             )
-    return rows
+        return out
 
-
-def sweep_stanley_s_mod(nmax: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
-    """Stanley's inequality for S/I^k at the large powers k in {n-1, n}."""
-    rows = []
-    for graph in _all_graphs(nmax):
-        for k in _trung_ks(graph.n):
-            report = stanley_verdict(KIND_S_MOD, graph, k, budget)
-            rows.append(
-                {
-                    "graph": graph.to_json(),
-                    "k": k,
-                    "verdict": report.verdict,
-                    "ok": report.verdict == HOLDS,
-                }
-            )
-    return rows
+    return _per_class(nmax, values)
 
 
 def _favored(graph: Graph) -> bool:
@@ -142,21 +168,42 @@ def _favored(graph: Graph) -> bool:
     )
 
 
+def _stanley_sweep(
+    nmax: int, kind: str, budget: int, keep: Callable[[Graph], bool]
+) -> list[dict]:
+    """Stanley's inequality for the kind at k in {n-1, n}, on the kept graphs."""
+
+    def values(graph: Graph) -> list[dict]:
+        if not keep(graph):
+            return []
+        out = []
+        for k in _trung_ks(graph.n):
+            report = stanley_verdict(kind, graph, k, budget)
+            out.append({"k": k, "verdict": report.verdict, "ok": report.verdict == HOLDS})
+        return out
+
+    return _per_class(nmax, values)
+
+
+def sweep_stanley_s_mod(nmax: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
+    """Stanley's inequality for S/I^k at the large powers k in {n-1, n}."""
+    return _stanley_sweep(nmax, KIND_S_MOD, budget, lambda graph: True)
+
+
 def sweep_power_bound(
     nmax: int, ks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """sdepth(I^k) >= p + 1 on the favored classes."""
-    rows = []
-    for graph in _all_graphs(nmax):
+
+    def values(graph: Graph) -> list[dict]:
         if not _favored(graph):
-            continue
+            return []
         p = graph.bipartite_component_count()
+        out = []
         for k in ks:
-            module = module_for(graph, k, KIND_POWER)
-            result = sdepth_exact(module, budget)
-            rows.append(
+            result = sdepth_exact(module_for(graph, k, KIND_POWER), budget)
+            out.append(
                 {
-                    "graph": graph.to_json(),
                     "k": k,
                     "bound": p + 1,
                     "claimed": lower_sdepth_power(graph, k),
@@ -165,26 +212,14 @@ def sweep_power_bound(
                     "ok": result.value >= p + 1,
                 }
             )
-    return rows
+        return out
+
+    return _per_class(nmax, values)
 
 
 def sweep_stanley_power(nmax: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Stanley's inequality for I^k on the favored classes at k in {n-1, n}."""
-    rows = []
-    for graph in _all_graphs(nmax):
-        if not _favored(graph):
-            continue
-        for k in _trung_ks(graph.n):
-            report = stanley_verdict(KIND_POWER, graph, k, budget)
-            rows.append(
-                {
-                    "graph": graph.to_json(),
-                    "k": k,
-                    "verdict": report.verdict,
-                    "ok": report.verdict == HOLDS,
-                }
-            )
-    return rows
+    return _stanley_sweep(nmax, KIND_POWER, budget, _favored)
 
 
 def sweep_tree_certificates(
@@ -353,8 +388,11 @@ def run_sweep(
     nmax: int, kmax: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> dict[str, list[dict]]:
     """All claim sweeps at the given size; deterministic aggregation by claim name."""
+    _check_nmax(nmax)
     tasks = [(name, nmax, kmax, budget) for name in sorted(_SWEEPS)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = dict(pool.map(_run_one, tasks))
     else:

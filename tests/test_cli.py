@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON round-trips, tamper detection."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,27 @@ def test_sweep_small():
     out = run("sweep", "--nmax", "3", "--kmax", "1")
     assert out.returncode == 0, out.stderr
     assert "all claims hold" in out.stdout
+
+
+# SHA-256 of the output below, measured before the sweeps ran once per
+# isomorphism class: row order, key order and every value are pinned.
+SWEEP_N4_SHA256 = "19e93414e3cf66e793607cfd15525b8b79673d409b874697612b72637130b121"
+
+
+def test_sweep_full_json_is_pinned():
+    env = {k: v for k, v in ENV.items() if k != "STANLEY_LAB_BUDGET"}
+    out = subprocess.run(
+        CLI + ["--json", "sweep", "--nmax", "4", "--kmax", "2", "--full"],
+        capture_output=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == SWEEP_N4_SHA256
+
+
+def test_sweep_rejects_nmax_7():
+    out = run("sweep", "--nmax", "7", "--kmax", "1")
+    assert out.returncode == 2
+    assert "nmax" in out.stderr
 
 
 def test_question_single_graph():
