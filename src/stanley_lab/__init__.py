@@ -56,8 +56,7 @@ from .stanley import (
     VerificationReport,
     basis_in_box,
     concat,
-    embed,
-    free_extend,
+    pin,
     shift,
     tensor,
     verify,

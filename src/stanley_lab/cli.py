@@ -3,8 +3,10 @@
 Subcommands: analyze, construct, verify, sdepth, depth, certify, sweep,
 question.  Graphs are JSON files or presets (path:k, cycle:k, star:k,
 complete:k, joined with '+').  Exit codes: 0 success, 1 verification or
-claim failure, 2 input error, 3 budget exceeded.  Reports embed the tool
-version and the full invocation so certificates are reproducible artifacts.
+claim failure, 2 input error, 3 budget exceeded; a sweep whose failing rows
+are all undecided (a search stopped by its budget) exits 3.  Reports embed
+the tool version and the full invocation so certificates are reproducible
+artifacts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import sys
 from . import __version__
 from .bounds import (
     FAILS,
+    INCONCLUSIVE,
     KIND_S_MOD,
     KINDS,
     analytic_spread_edge,
@@ -233,18 +236,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results = run_sweep(args.nmax, args.kmax, args.budget, args.jobs)
     summary = {}
     lines = [f"{'claim':34} {'instances':>9} {'failures':>8}"]
-    failures = 0
+    failures = undecided = 0
     for claim, rows in results.items():
-        bad = sum(1 for r in rows if not r["ok"])
-        failures += bad
-        summary[claim] = {"instances": len(rows), "failures": bad}
-        lines.append(f"{claim:34} {len(rows):>9} {bad:>8}")
+        bad = [r for r in rows if not r["ok"]]
+        failures += len(bad)
+        # a search stopped by its budget decides nothing: not a counterexample
+        undecided += sum(
+            1 for r in bad if r.get("exact") is False or r.get("verdict") == INCONCLUSIVE
+        )
+        summary[claim] = {"instances": len(rows), "failures": len(bad)}
+        lines.append(f"{claim:34} {len(rows):>9} {len(bad):>8}")
     result = {"summary": summary}
     if args.full:
         result["rows"] = results
-    lines.append("all claims hold" if failures == 0 else f"{failures} FAILURES")
+    if failures == 0:
+        lines.append("all claims hold")
+        code = EXIT_OK
+    elif undecided == failures:
+        lines.append(f"{failures} FAILURES, all undecided within the search budget")
+        code = EXIT_BUDGET
+    else:
+        lines.append(f"{failures} FAILURES, {failures - undecided} of them decided")
+        code = EXIT_CLAIM
     _emit(args, result, lines)
-    return EXIT_CLAIM if failures else EXIT_OK
+    return code
 
 
 def cmd_question(args: argparse.Namespace) -> int:

@@ -170,10 +170,6 @@ class Graph:
             gens.append(tuple(g))
         return MonomialIdeal.make(self.n, gens)
 
-    def edge_support(self) -> tuple[int, ...]:
-        """Sorted labels incident to at least one edge."""
-        return tuple(sorted({v for e in self.edges for v in e}))
-
     def to_json(self) -> dict:
         obj: dict = {"n": self.n, "edges": [list(e) for e in self.edges]}
         if self.vertices != frozenset(range(1, self.n + 1)):

@@ -52,11 +52,6 @@ def deg_lcm(a: Multidegree, b: Multidegree) -> Multidegree:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def deg_colon(g: Multidegree, m: Multidegree) -> Multidegree:
-    """Exponent of x^g / gcd(x^g, x^m), the colon step for one generator."""
-    return tuple(max(x - y, 0) for x, y in zip(g, m))
-
-
 def support(a: Multidegree) -> frozenset[int]:
     """1-based variable indices with positive exponent."""
     return frozenset(j + 1 for j, e in enumerate(a) if e > 0)
@@ -160,41 +155,6 @@ class MonomialIdeal:
             self.n, _reduce(deg_lcm(a, b) for a in self.gens for b in other.gens)
         )
 
-    def colon(self, m: Sequence[int]) -> "MonomialIdeal":
-        """The colon ideal (I : x^m)."""
-        deg = as_degree(m, self.n)
-        return MonomialIdeal(self.n, _reduce(deg_colon(g, deg) for g in self.gens))
-
-    def restrict(self, labels: Sequence[int]) -> "MonomialIdeal":
-        """I intersected with K[x_j : j in labels], re-indexed to ambient len(labels).
-
-        Valid for monomial ideals because a monomial supported on the label set
-        lies in I iff some generator supported on the label set divides it.
-        """
-        labs = _as_labels(labels, self.n)
-        keep = frozenset(labs)
-        gens = [
-            tuple(g[v - 1] for v in labs)
-            for g in self.gens
-            if support(g) <= keep
-        ]
-        return MonomialIdeal.make(len(labs), gens)
-
-    def extend(self, labels: Sequence[int], n: int) -> "MonomialIdeal":
-        """Zero-pad into ambient n, coordinate i landing on variable labels[i]."""
-        labs = _as_labels(labels, n)
-        if len(labs) != self.n:
-            raise InputError(
-                f"label count {len(labs)} does not match ambient {self.n}"
-            )
-        gens = []
-        for g in self.gens:
-            ext = [0] * n
-            for e, v in zip(g, labs):
-                ext[v - 1] = e
-            gens.append(tuple(ext))
-        return MonomialIdeal.make(n, gens)
-
     def to_json(self) -> dict:
         return {"n": self.n, "gens": [list(g) for g in self.gens]}
 
@@ -204,15 +164,6 @@ class MonomialIdeal:
             return cls.make(int(obj["n"]), obj["gens"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed ideal JSON: {obj!r}") from exc
-
-
-def _as_labels(labels: Sequence[int], n: int) -> tuple[int, ...]:
-    labs = tuple(int(v) for v in labels)
-    if any(not 1 <= v <= n for v in labs):
-        raise InputError(f"variable labels {labs} out of range 1..{n}")
-    if any(x >= y for x, y in zip(labs, labs[1:])):
-        raise InputError(f"variable labels must be strictly increasing: {labs}")
-    return labs
 
 
 def _tile(block: int, width: int, count: int) -> int:

@@ -133,11 +133,10 @@ class StanleyDecomposition:
         return min((s.dim for s in self.spaces), default=None)
 
     def variables(self) -> frozenset[int]:
-        """All variables featured by any space (in a shift or in a Z-set)."""
-        out: frozenset[int] = frozenset()
-        for s in self.spaces:
-            out |= support(s.u) | s.Z
-        return out
+        """The variables some space pins: in the support of its shift or off
+        its Z.  Every other variable acts freely in every space."""
+        every = frozenset(range(1, self.module.n + 1))
+        return frozenset().union(*(support(s.u) | (every - s.Z) for s in self.spaces))
 
     def to_json(self) -> dict:
         return {
@@ -253,16 +252,18 @@ def tensor(
     d2: StanleyDecomposition,
     module: ModulePresentation,
 ) -> StanleyDecomposition:
-    """Componentwise product of decompositions over disjoint variable sets.
+    """Componentwise product of decompositions that leave each other's
+    variables free.
 
-    Spaces are all pairwise (u + u', Z | Z'); with disjoint variables the
-    minimum dimension adds exactly.
+    Spaces are all pairwise (u + u', Z & Z').  Each variable is free in one
+    factor or in both, so Z | Z' is every variable, |Z & Z'| = |Z| + |Z'| - n,
+    and the sdepth of the product is the sum of the factors' minus n.
     """
     overlap = d1.variables() & d2.variables()
     if overlap:
-        raise InputError(f"tensor factors share variables {sorted(overlap)}")
+        raise InputError(f"tensor factors both pin variables {sorted(overlap)}")
     spaces = tuple(
-        StanleySpace(deg_add(a.u, b.u), a.Z | b.Z)
+        StanleySpace(deg_add(a.u, b.u), a.Z & b.Z)
         for a in d1.spaces
         for b in d2.spaces
     )
@@ -278,15 +279,15 @@ def shift(
     return StanleyDecomposition(module, spaces)
 
 
-def free_extend(
-    dec: StanleyDecomposition, new_vars: Iterable[int], module: ModulePresentation
+def pin(
+    dec: StanleyDecomposition, variables: Iterable[int], module: ModulePresentation
 ) -> StanleyDecomposition:
-    """Adjoin variables acting freely: every Z gains them, sdepth gains |W|."""
-    ws = frozenset(int(v) for v in new_vars)
+    """Fix variables that act freely in dec at exponent 0: (u, Z) -> (u, Z - W)."""
+    ws = frozenset(int(v) for v in variables)
     clash = ws & dec.variables()
     if clash:
-        raise InputError(f"free extension by already-used variables {sorted(clash)}")
-    spaces = tuple(StanleySpace(s.u, s.Z | ws) for s in dec.spaces)
+        raise InputError(f"cannot pin variables {sorted(clash)} that are not free")
+    spaces = tuple(StanleySpace(s.u, s.Z - ws) for s in dec.spaces)
     return StanleyDecomposition(module, spaces)
 
 
@@ -300,31 +301,3 @@ def concat(
     """
     spaces = tuple(chain.from_iterable(d.spaces for d in decs))
     return StanleyDecomposition(module, spaces)
-
-
-def embed(
-    dec: StanleyDecomposition, labels: Sequence[int], module: ModulePresentation
-) -> StanleyDecomposition:
-    """Re-index a decomposition into a larger ambient, coordinate i -> labels[i]."""
-    labs = tuple(int(v) for v in labels)
-    if len(labs) != dec.module.n:
-        raise InputError(
-            f"label count {len(labs)} does not match source ambient {dec.module.n}"
-        )
-    if any(not 1 <= v <= module.n for v in labs):
-        raise InputError(f"labels {labs} out of target range 1..{module.n}")
-    # Target coordinate t reads source coordinate source[t], or the zero
-    # appended after the source coordinates when no label lands on t.
-    source = [len(labs)] * module.n
-    for i, v in enumerate(labs):
-        source[v - 1] = i
-    relabel = (0,) + labs
-    image: dict[frozenset[int], frozenset[int]] = {}
-    spaces = []
-    for s in dec.spaces:
-        u = tuple(map((*s.u, 0).__getitem__, source))
-        Z = image.get(s.Z)
-        if Z is None:
-            Z = image[s.Z] = frozenset(map(relabel.__getitem__, s.Z))
-        spaces.append(StanleySpace(u, Z))
-    return StanleyDecomposition(module, tuple(spaces))

@@ -18,7 +18,7 @@ found for the representative, which holds for the whole class.
 
 from __future__ import annotations
 
-import random
+from functools import cache
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
@@ -39,9 +39,8 @@ from .constructions import decompose_power_tree
 from .depth import depth_by_trung, depth_exact
 from .errors import InputError
 from .graphs import Graph, enumerate_labeled_graphs, enumerate_trees, parse_graph
-from .monomials import MonomialIdeal
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
-from .stanley import ModulePresentation, verify
+from .stanley import verify
 
 QUESTION_GRAPHS = ("cycle:4", "cycle:6", "path:4", "path:5", "star:3", "star:4")
 
@@ -55,12 +54,15 @@ def _check_nmax(nmax: int) -> None:
         raise InputError(f"nmax must be in 1..{MAX_SWEEP_VERTICES}, got {nmax}")
 
 
-def isomorphism_classes(n: int) -> list[tuple[Graph, Graph]]:
+@cache
+def isomorphism_classes(n: int) -> tuple[tuple[Graph, Graph], ...]:
     """Every labeled graph on 1..n in sorted edge order, each paired with the
     first graph of its isomorphism class in that order.
 
     The first time a class is met, its graph's images under all n! vertex
     permutations are marked with it; a graph already marked is in that class.
+    Memoized per n, so the claims of one ``run_sweep`` share it; ``run_sweep``
+    clears the memo when it returns.
     """
     pairs = list(combinations(range(1, n + 1), 2))
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
@@ -79,7 +81,7 @@ def isomorphism_classes(n: int) -> list[tuple[Graph, Graph]]:
             for image in images:
                 rep_of[sum(image[i] for i in set_bits)] = rep
         out.append((graph, rep))
-    return out
+    return tuple(out)
 
 
 def _per_class(nmax: int, values: Callable[[Graph], list[dict]]) -> list[dict]:
@@ -245,97 +247,6 @@ def sweep_tree_certificates(
     return rows
 
 
-def _random_disjoint_pair(
-    rng: random.Random, nmax: int = 6, max_gens: int = 4, max_exp: int = 2
-) -> tuple[MonomialIdeal, MonomialIdeal]:
-    n = rng.randint(2, nmax)
-    split = rng.randint(1, n - 1)
-    left_vars = range(0, split)
-    right_vars = range(split, n)
-
-    def make(varrange) -> MonomialIdeal:
-        gens = []
-        for _ in range(rng.randint(1, max_gens)):
-            g = [0] * n
-            for j in varrange:
-                g[j] = rng.randint(0, max_exp)
-            if any(g):
-                gens.append(tuple(g))
-        return MonomialIdeal.make(n, gens)
-
-    return make(left_vars), make(right_vars)
-
-
-def identity_fuzz(pairs: int = 200, seed: int = 0, kmax: int = 3) -> list[dict]:
-    """Exact generating-set identities for sums of mixed powers of
-    disjoint-support ideals: the colon-free rewriting of the layer kernel,
-    directness of the splitting, and the filtration intersection."""
-    rng = random.Random(seed)
-    rows = []
-    for index in range(pairs):
-        left, right = _random_disjoint_pair(rng)
-        if left.is_zero() or right.is_zero():
-            left = left + MonomialIdeal.make(left.n, [(1,) + (0,) * (left.n - 1)])
-            right = right + MonomialIdeal.make(
-                right.n, [(0,) * (right.n - 1) + (1,)]
-            )
-        total = left + right
-        ok = True
-        for k in range(kmax + 1):
-            power_next = total ** (k + 1)
-            mixed = [(left**s) * (right ** (k - s)) for s in range(k + 1)]
-            for s in range(k + 1):
-                t = k - s
-                kernel = (left ** (s + 1)) * (right**t) + (left**s) * (
-                    right ** (t + 1)
-                )
-                if kernel != mixed[s].intersect(power_next):
-                    ok = False
-            for s in range(k + 1):
-                for l in range(k + 1):
-                    if s == l:
-                        continue
-                    meet = mixed[s].intersect(mixed[l])
-                    if not meet.subset_of(power_next):
-                        ok = False
-            for l in range(1, k + 1):
-                partial = mixed[l - 1]
-                for t in range(l - 1):
-                    partial = partial + mixed[t]
-                expected = (left**l) * (right ** (k - l + 1))
-                if mixed[l].intersect(partial) != expected:
-                    ok = False
-        rows.append({"pair": index, "n": left.n, "ok": ok})
-    return rows
-
-
-def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:
-    """Seeded nonzero random presentations lower <= upper for coherence checks."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, 4)
-        upper_gens = []
-        for _ in range(rng.randint(1, 3)):
-            g = tuple(rng.randint(0, 2) for _ in range(n))
-            upper_gens.append(g)
-        upper = MonomialIdeal.make(n, upper_gens)
-        if upper.is_zero():
-            continue
-        extra_gens = []
-        for _ in range(rng.randint(1, 2)):
-            g = tuple(rng.randint(0, 2) for _ in range(n))
-            if any(g):
-                extra_gens.append(g)
-        if not extra_gens:
-            continue
-        lower = upper * MonomialIdeal.make(n, extra_gens)
-        module = ModulePresentation.make(n, lower, upper)
-        if not module.is_zero():
-            out.append(module)
-    return out
-
-
 def question_report(
     graph_specs: Sequence[str] = QUESTION_GRAPHS,
     ks: Sequence[int] = (1, 2),
@@ -390,11 +301,14 @@ def run_sweep(
     """All claim sweeps at the given size; deterministic aggregation by claim name."""
     _check_nmax(nmax)
     tasks = [(name, nmax, kmax, budget) for name in sorted(_SWEEPS)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_run_one, tasks))
-    else:
-        results = dict(map(_run_one, tasks))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = dict(pool.map(_run_one, tasks))
+        else:
+            results = dict(map(_run_one, tasks))
+    finally:
+        isomorphism_classes.cache_clear()
     return {name: results[name] for name in sorted(results)}

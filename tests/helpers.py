@@ -1,0 +1,96 @@
+"""Seeded random instances and the ideal-identity fuzz, used only by the tests."""
+
+import random
+
+from stanley_lab import ModulePresentation, MonomialIdeal
+
+
+def _random_disjoint_pair(
+    rng: random.Random, nmax: int = 6, max_gens: int = 4, max_exp: int = 2
+) -> tuple[MonomialIdeal, MonomialIdeal]:
+    n = rng.randint(2, nmax)
+    split = rng.randint(1, n - 1)
+    left_vars = range(0, split)
+    right_vars = range(split, n)
+
+    def make(varrange) -> MonomialIdeal:
+        gens = []
+        for _ in range(rng.randint(1, max_gens)):
+            g = [0] * n
+            for j in varrange:
+                g[j] = rng.randint(0, max_exp)
+            if any(g):
+                gens.append(tuple(g))
+        return MonomialIdeal.make(n, gens)
+
+    return make(left_vars), make(right_vars)
+
+
+def identity_fuzz(pairs: int = 200, seed: int = 0, kmax: int = 3) -> list[dict]:
+    """Exact generating-set identities for sums of mixed powers of
+    disjoint-support ideals: the colon-free rewriting of the layer kernel,
+    directness of the splitting, and the filtration intersection."""
+    rng = random.Random(seed)
+    rows = []
+    for index in range(pairs):
+        left, right = _random_disjoint_pair(rng)
+        if left.is_zero() or right.is_zero():
+            left = left + MonomialIdeal.make(left.n, [(1,) + (0,) * (left.n - 1)])
+            right = right + MonomialIdeal.make(
+                right.n, [(0,) * (right.n - 1) + (1,)]
+            )
+        total = left + right
+        ok = True
+        for k in range(kmax + 1):
+            power_next = total ** (k + 1)
+            mixed = [(left**s) * (right ** (k - s)) for s in range(k + 1)]
+            for s in range(k + 1):
+                t = k - s
+                kernel = (left ** (s + 1)) * (right**t) + (left**s) * (
+                    right ** (t + 1)
+                )
+                if kernel != mixed[s].intersect(power_next):
+                    ok = False
+            for s in range(k + 1):
+                for l in range(k + 1):
+                    if s == l:
+                        continue
+                    meet = mixed[s].intersect(mixed[l])
+                    if not meet.subset_of(power_next):
+                        ok = False
+            for l in range(1, k + 1):
+                partial = mixed[l - 1]
+                for t in range(l - 1):
+                    partial = partial + mixed[t]
+                expected = (left**l) * (right ** (k - l + 1))
+                if mixed[l].intersect(partial) != expected:
+                    ok = False
+        rows.append({"pair": index, "n": left.n, "ok": ok})
+    return rows
+
+
+def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:
+    """Seeded nonzero random presentations lower <= upper for coherence checks."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 4)
+        upper_gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = tuple(rng.randint(0, 2) for _ in range(n))
+            upper_gens.append(g)
+        upper = MonomialIdeal.make(n, upper_gens)
+        if upper.is_zero():
+            continue
+        extra_gens = []
+        for _ in range(rng.randint(1, 2)):
+            g = tuple(rng.randint(0, 2) for _ in range(n))
+            if any(g):
+                extra_gens.append(g)
+        if not extra_gens:
+            continue
+        lower = upper * MonomialIdeal.make(n, extra_gens)
+        module = ModulePresentation.make(n, lower, upper)
+        if not module.is_zero():
+            out.append(module)
+    return out

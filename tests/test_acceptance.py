@@ -16,9 +16,7 @@ from stanley_lab import (
 from stanley_lab.bounds import module_for
 from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.sweeps import (
-    identity_fuzz,
     question_report,
-    random_presentations,
     sweep_layer_bound,
     sweep_limit_depth,
     sweep_power_bound,
@@ -27,6 +25,8 @@ from stanley_lab.sweeps import (
     sweep_stanley_s_mod,
     sweep_tree_certificates,
 )
+
+from helpers import identity_fuzz, random_presentations
 
 BUDGET = 2_000_000
 

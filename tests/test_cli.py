@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import stanley_lab
-from stanley_lab import ModulePresentation, MonomialIdeal, homology_profile
+from stanley_lab import ModulePresentation, MonomialIdeal, cli, homology_profile
 
 CLI = [sys.executable, "-m", "stanley_lab"]
 # The CLI process imports the same package as this one, installed or not.
@@ -201,6 +203,40 @@ def test_sweep_rejects_nmax_7():
     out = run("sweep", "--nmax", "7", "--kmax", "1")
     assert out.returncode == 2
     assert "nmax" in out.stderr
+
+
+# The summary of a budget-0 sweep: every failing row carries "exact": false.
+BUDGET_0_SUMMARY = {
+    "layer-lower-bound": {"failures": 22, "instances": 27},
+    "limit-depth": {"failures": 0, "instances": 21},
+    "power-lower-bound": {"failures": 3, "instances": 16},
+    "quotient-lower-bound": {"failures": 15, "instances": 22},
+    "stanley-inequality-power": {"failures": 0, "instances": 16},
+    "stanley-inequality-quotient": {"failures": 0, "instances": 21},
+}
+
+
+def test_sweep_with_only_undecided_failures_exits_budget():
+    out = run("sweep", "--nmax", "3", "--kmax", "2", "--budget", "0")
+    assert out.returncode == 3, out.stderr
+    assert "40 FAILURES, all undecided" in out.stdout
+    out = run("--json", "sweep", "--nmax", "3", "--kmax", "2", "--budget", "0")
+    assert out.returncode == 3, out.stderr
+    assert json.loads(out.stdout)["result"] == {"summary": BUDGET_0_SUMMARY}
+
+
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        ([{"ok": False, "exact": True}, {"ok": False, "exact": False}], 1),
+        ([{"ok": False, "verdict": "fails"}], 1),
+        ([{"ok": False, "exact": False}, {"ok": False, "verdict": "inconclusive-budget"}], 3),
+        ([{"ok": True, "exact": True}], 0),
+    ],
+)
+def test_sweep_exit_code_by_failing_rows(monkeypatch, rows, code):
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: {"claim": rows})
+    assert cli.main(["sweep", "--nmax", "3", "--kmax", "1", "--budget", "10"]) == code
 
 
 def test_question_single_graph():

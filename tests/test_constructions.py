@@ -229,8 +229,8 @@ def test_multi_component_certificates_pinned():
     "build, spec, k",
     [
         (decompose_s_mod_power, "cycle:3+path:3", 3),
-        (decompose_power_general, "cycle:4+path:2", 2),
-        (decompose_power_tree, "path:5", 3),
+        (decompose_power_general, "path:2+path:2+path:2", 2),
+        (decompose_layer, "path:2+path:2+path:2", 2),
     ],
 )
 def test_each_distinct_certificate_verified_once(monkeypatch, build, spec, k):

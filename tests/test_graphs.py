@@ -118,8 +118,8 @@ def test_edge_ideal_of_union_is_sum():
     a = preset("path:3")
     b = preset("cycle:3")
     union = disjoint_union(a, b)
-    lifted_a = a.edge_ideal().extend((1, 2, 3), 6)
-    lifted_b = b.edge_ideal().extend((4, 5, 6), 6)
+    lifted_a = Graph.make(6, [(1, 2), (2, 3)]).edge_ideal()
+    lifted_b = Graph.make(6, [(4, 5), (5, 6), (4, 6)]).edge_ideal()
     assert union.edge_ideal() == lifted_a + lifted_b
 
 

@@ -10,6 +10,8 @@ from stanley_lab import BudgetExceededError, InputError, MonomialIdeal, divides,
 from stanley_lab.monomials import as_degree, iter_box, members_in_box
 
 P3 = MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)])
+# P3 in 4 variables, with x4 in no generator
+P3_IN_4 = MonomialIdeal.make(4, [(1, 1, 0, 0), (0, 1, 1, 0)])
 
 
 def brute_contains(ideal, a):
@@ -100,35 +102,6 @@ def test_intersect():
     assert ((L**2) * J).intersect(L * J**2).gens == ((2, 2, 2, 2),)
 
 
-def test_colon():
-    assert P3.colon((0, 1, 0)).gens == ((0, 0, 1), (1, 0, 0))
-    assert (P3**2).colon((0, 1, 0)).gens == ((0, 1, 2), (1, 1, 1), (2, 1, 0))
-    assert P3.colon((0, 0, 0)) == P3
-
-
-def test_colon_membership_oracle():
-    # a in (I : m) iff a + m in I, sampled over a box
-    m = (0, 2, 1)
-    quotient = (P3**2).colon(m)
-    for a in product(range(3), repeat=3):
-        shifted = tuple(x + y for x, y in zip(a, m))
-        assert quotient.contains(a) == (P3**2).contains(shifted)
-
-
-def test_restrict():
-    assert P3.restrict((2, 3)).gens == ((1, 1),)
-    assert MonomialIdeal.make(2, [(1, 1)]).restrict((2,)).is_zero()
-    assert (P3**2).restrict((2, 3)).gens == ((2, 2),)
-
-
-def test_extend_roundtrip():
-    sub = MonomialIdeal.make(2, [(1, 1)])
-    ext = sub.extend((2, 3), 3)
-    assert ext.gens == ((0, 1, 1),)
-    assert ext.restrict((2, 3)) == sub
-    assert MonomialIdeal.zero(2).extend((1, 3), 4).is_zero()
-
-
 def test_members_in_box_matches_contains():
     corner = (2, 2, 2)
     members = members_in_box(P3**2, corner)
@@ -202,8 +175,8 @@ def test_contains_agrees_with_bruteforce(ideal, a):
 
 @settings(max_examples=100, deadline=None)
 @given(ideals(), ideals())
-@example(P3.extend((1, 2, 3), 4), (P3**2).extend((1, 2, 3), 4))
-@example((P3**2).extend((1, 2, 3), 4), P3.extend((1, 2, 3), 4))
+@example(P3_IN_4, P3_IN_4**2)
+@example(P3_IN_4**2, P3_IN_4)
 def test_subset_of_matches_contains(ideal, other):
     assert ideal.subset_of(other) == all(other.contains(g) for g in ideal.gens)
 

@@ -21,7 +21,8 @@ from stanley_lab.bounds import module_for
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
 from stanley_lab import sdepth
 from stanley_lab.sdepth import DEFAULT_BUDGET, _row
-from stanley_lab.sweeps import random_presentations
+
+from helpers import random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -254,7 +255,7 @@ def test_partition_to_decomposition_roundtrip():
 
 
 def test_free_variable_additivity():
-    wide = ModulePresentation.quotient_ring(XY.extend((1, 2), 4))
+    wide = ModulePresentation.quotient_ring(MonomialIdeal.make(4, [(1, 1, 0, 0)]))
     base = sdepth_exact(S_MOD_XY)
     extended = sdepth_exact(wide)
     assert extended.value == base.value + 2

@@ -7,6 +7,7 @@ import pytest
 
 from stanley_lab import (
     BudgetExceededError,
+    Graph,
     InputError,
     MonomialIdeal,
     ModulePresentation,
@@ -17,10 +18,9 @@ from stanley_lab import (
     decompose_power_general,
     decompose_power_tree,
     decompose_s_mod_power,
-    embed,
     enumerate_trees,
-    free_extend,
     parse_graph,
+    pin,
     shift,
     tensor,
     verify,
@@ -92,19 +92,16 @@ def general_power(spec, k):
 
 
 def embedded_quotient():
-    """S/I^2 of path:3 moved to variables 1, 3, 5 of 5; x2 and x4 lie in the
+    """S/I^2 of the path 1-3-5 in 5 variables, with x2 and x4 added to the
     ideal, so no space uses coordinates 2 and 4."""
-    dec = decompose_s_mod_power(parse_graph("path:3"), 2)
+    dec = decompose_s_mod_power(Graph.make(5, [(1, 3), (3, 5)]), 2)
     units = MonomialIdeal.make(5, [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
-    ideal = dec.module.lower.extend((1, 3, 5), 5) + units
-    return embed(dec, (1, 3, 5), ModulePresentation.quotient_ring(ideal))
+    return pin(dec, (2, 4), ModulePresentation.quotient_ring(dec.module.lower + units))
 
 
 def free_extended_power():
-    """I^2 of path:3 moved into 5 variables, with x4 and x5 acting freely."""
-    dec = decompose_power_general(parse_graph("path:3"), 2)
-    module = ModulePresentation.of_ideal(dec.module.upper.extend((1, 2, 3), 5))
-    return free_extend(embed(dec, (1, 2, 3), module), (4, 5), module)
+    """I^2 of path:3 in 5 variables, with x4 and x5 acting freely."""
+    return decompose_power_general(Graph.make(5, [(1, 2), (2, 3)]), 2)
 
 
 def largest_tree_power():
@@ -258,26 +255,38 @@ def test_empty_decomposition_of_zero_module_is_valid():
     assert report.valid and report.sdepth is None
 
 
+# S/(x1 x2) in 4 variables, with x3 and x4 acting freely
+XY_MOD_4 = ModulePresentation.quotient_ring(MonomialIdeal.make(4, [(1, 1, 0, 0)]))
+QUOTIENT_12 = StanleyDecomposition(
+    XY_MOD_4,
+    (
+        StanleySpace((0, 0, 0, 0), frozenset({1, 3, 4})),
+        StanleySpace((0, 1, 0, 0), frozenset({2, 3, 4})),
+    ),
+)
+
+
+def test_variables_are_the_pinned_ones():
+    assert QUOTIENT_12.variables() == frozenset({1, 2})
+    shifted = StanleyDecomposition(XY_MOD_4, (StanleySpace((0, 0, 1, 0), frozenset({1, 2, 3, 4})),))
+    assert shifted.variables() == frozenset({3})
+
+
 def test_tensor():
-    left = StanleyDecomposition(
-        S_MOD_XY,
-        (
-            StanleySpace((0, 0), frozenset({1})),
-            StanleySpace((0, 1), frozenset({2})),
-        ),
-    )
     ideal34 = MonomialIdeal.make(4, [(0, 0, 1, 1)])
-    right_module = ModulePresentation.of_ideal(ideal34)
     right = StanleyDecomposition(
-        right_module, (StanleySpace((0, 0, 1, 1), frozenset({3, 4})),)
+        ModulePresentation.of_ideal(ideal34),
+        (StanleySpace((0, 0, 1, 1), frozenset({1, 2, 3, 4})),),
     )
     lifted_xy = MonomialIdeal.make(4, [(1, 1, 0, 0)])
     target = ModulePresentation.make(
         4, lifted_xy * ideal34, ideal34
     )
-    left4 = embed(left, (1, 2), target)
-    combined = tensor(left4, right, target)
-    assert len(combined.spaces) == 2
+    combined = tensor(QUOTIENT_12, right, target)
+    assert combined.spaces == (
+        StanleySpace((0, 0, 1, 1), frozenset({1, 3, 4})),
+        StanleySpace((0, 1, 1, 1), frozenset({2, 3, 4})),
+    )
     assert combined.sdepth() == 1 + 2
     assert verify(combined).valid
 
@@ -289,48 +298,52 @@ def test_tensor_layer_piece():
     Jp = MonomialIdeal.make(4, [(0, 0, 1, 1)])
     target = ModulePresentation.make(4, L * L + L * Jp, L)
     layer = StanleyDecomposition(
-        ModulePresentation.power_layer(MonomialIdeal.make(2, [(1, 1)]), 1),
+        ModulePresentation.power_layer(L, 1),
         (
-            StanleySpace((1, 1), frozenset({1})),
-            StanleySpace((1, 2), frozenset({2})),
+            StanleySpace((1, 1, 0, 0), frozenset({1, 3, 4})),
+            StanleySpace((1, 2, 0, 0), frozenset({2, 3, 4})),
         ),
     )
     quotient = StanleyDecomposition(
-        S_MOD_XY,
+        ModulePresentation.quotient_ring(Jp),
         (
-            StanleySpace((0, 0), frozenset({1})),
-            StanleySpace((0, 1), frozenset({2})),
+            StanleySpace((0, 0, 0, 0), frozenset({1, 2, 3})),
+            StanleySpace((0, 0, 0, 1), frozenset({1, 2, 4})),
         ),
     )
-    combined = tensor(
-        embed(layer, (1, 2), target), embed(quotient, (3, 4), target), target
-    )
+    combined = tensor(layer, quotient, target)
     report = verify(combined)
     assert report.valid and report.sdepth == 2
 
 
 def test_tensor_sdepth_adds_exactly():
-    a = StanleyDecomposition(
-        S_MOD_XY,
-        (StanleySpace((0, 0), frozenset({1})), StanleySpace((0, 1), frozenset({2}))),
+    # each factor has sdepth 1 over its own two variables, 3 in 4 variables
+    b_module = ModulePresentation.quotient_ring(MonomialIdeal.make(4, [(0, 0, 1, 1)]))
+    b = StanleyDecomposition(
+        b_module,
+        (
+            StanleySpace((0, 0, 0, 0), frozenset({1, 2, 3})),
+            StanleySpace((0, 0, 0, 1), frozenset({1, 2, 4})),
+        ),
     )
     target = ModulePresentation.quotient_ring(
         MonomialIdeal.make(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
     )
-    b_module = ModulePresentation.quotient_ring(MonomialIdeal.make(2, [(1, 1)]))
-    b = StanleyDecomposition(
-        b_module,
-        (StanleySpace((0, 0), frozenset({1})), StanleySpace((0, 1), frozenset({2}))),
-    )
-    combined = tensor(embed(a, (1, 2), target), embed(b, (3, 4), target), target)
-    assert combined.sdepth() == a.sdepth() + b.sdepth()
+    combined = tensor(QUOTIENT_12, b, target)
+    assert combined.sdepth() == QUOTIENT_12.sdepth() + b.sdepth() - 4 == 1 + 1
     assert verify(combined).valid
 
 
 def test_tensor_rejects_overlap():
     a = StanleyDecomposition(S_MOD_XY, (StanleySpace((0, 0), frozenset({1})),))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"both pin variables \[2\]"):
         tensor(a, a, S_MOD_XY)
+    with pytest.raises(InputError, match=r"both pin variables \[1, 2\]"):
+        tensor(QUOTIENT_12, QUOTIENT_12, XY_MOD_4)
+    # x3 is free in QUOTIENT_12, and pinned in both factors here
+    narrow = pin(QUOTIENT_12, (3,), XY_MOD_4)
+    with pytest.raises(InputError, match=r"both pin variables \[1, 2, 3\]"):
+        tensor(narrow, narrow, XY_MOD_4)
 
 
 def test_shift_identity():
@@ -338,11 +351,25 @@ def test_shift_identity():
     assert shift(dec, (0, 0), S_MOD_XY).spaces == dec.spaces
 
 
-def test_free_extend_raises_sdepth():
-    dec = StanleyDecomposition(S_MOD_XY, (StanleySpace((0, 0), frozenset({1})),))
-    target = ModulePresentation.quotient_ring(XY.extend((1, 2), 4))
-    wide = free_extend(embed(dec, (1, 2), target), (3, 4), target)
-    assert wide.sdepth() == 3
+def test_pin_lowers_sdepth():
+    # pinning the free x3 and x4 of S/(x1 x2) leaves S/(x1 x2, x3, x4)
+    module = ModulePresentation.quotient_ring(
+        MonomialIdeal.make(4, [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    )
+    narrow = pin(QUOTIENT_12, (3, 4), module)
+    assert narrow.spaces == (
+        StanleySpace((0, 0, 0, 0), frozenset({1})),
+        StanleySpace((0, 1, 0, 0), frozenset({2})),
+    )
+    assert verify(narrow).valid and narrow.sdepth() == 1
+
+
+def test_pin_rejects_a_variable_that_is_not_free():
+    with pytest.raises(InputError, match=r"not free"):
+        pin(QUOTIENT_12, (1, 3), XY_MOD_4)
+    shifted = StanleyDecomposition(XY_MOD_4, (StanleySpace((0, 0, 1, 0), frozenset({1, 2, 3, 4})),))
+    with pytest.raises(InputError, match=r"pin variables \[3\]"):
+        pin(shifted, (3,), XY_MOD_4)
 
 
 def test_concat_layers_of_small_quotient():

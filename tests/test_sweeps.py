@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import stanley_lab
-from stanley_lab import InputError
+from stanley_lab import InputError, sweeps
 from stanley_lab.bounds import (
     HOLDS,
     KIND_POWER,
@@ -237,6 +237,18 @@ def test_run_sweep_n5_rows():
         "stanley-inequality-quotient": 2197,
     }
     assert all(row["ok"] for rows in results.values() for row in rows)
+
+
+def test_classes_are_built_once_per_n_and_sweep(monkeypatch):
+    built = []
+    real = sweeps.enumerate_labeled_graphs
+    monkeypatch.setattr(sweeps, "enumerate_labeled_graphs", lambda n: built.append(n) or real(n))
+    isomorphism_classes.cache_clear()
+    first = run_sweep(4, 2)
+    assert built == [1, 2, 3, 4]
+    # the memo lives for one sweep: the next one builds the classes again
+    assert run_sweep(4, 2) == first
+    assert built == [1, 2, 3, 4] * 2
 
 
 def test_worker_pool_gives_the_same_rows():
