@@ -64,7 +64,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a number too long to read
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

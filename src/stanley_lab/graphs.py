@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations, product as cartesian
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError
-from .monomials import MonomialIdeal
+from .errors import InputError, malformed
+from .monomials import MAX_VARIABLES, MonomialIdeal
 
 Edge = tuple[int, int]
 
@@ -37,8 +37,8 @@ class Graph:
         edges: Iterable[Sequence[int]],
         vertices: Iterable[int] | None = None,
     ) -> "Graph":
-        if n < 1:
-            raise InputError(f"vertex count must be positive, got {n}")
+        if not 1 <= n <= MAX_VARIABLES:
+            raise InputError(f"vertex count must be in 1..{MAX_VARIABLES}, got {n}")
         verts = frozenset(range(1, n + 1)) if vertices is None else frozenset(
             int(v) for v in vertices
         )
@@ -178,10 +178,8 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
-        try:
+        with malformed("graph", obj):
             return cls.make(int(obj["n"]), obj["edges"], obj.get("vertices"))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed graph JSON: {obj!r}") from exc
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -9,19 +9,22 @@ operations are pure functions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import compress, groupby, product as lattice_product
 from operator import add, le, mul, xor
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, malformed
 
 Multidegree = tuple[int, ...]
 
 # Most points a Box may have (2 MiB per bitset): larger boxes fail fast
 # instead of exhausting memory or time.
 BOX_POINT_CAP = 1 << 24
+
+# Most variables an ideal or graph may have.  A verify box has at least two
+# points per axis, so no certificate over more variables fits under the cap.
+MAX_VARIABLES = BOX_POINT_CAP.bit_length() - 1
 
 # Maps the '0'/'1' digits of a bitset's binary string to falsy/truthy bytes.
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
@@ -100,8 +103,8 @@ class MonomialIdeal:
 
     @classmethod
     def make(cls, n: int, gens: Iterable[Sequence[int]]) -> "MonomialIdeal":
-        if n < 1:
-            raise InputError(f"ambient variable count must be positive, got {n}")
+        if not 1 <= n <= MAX_VARIABLES:
+            raise InputError(f"ambient variable count must be in 1..{MAX_VARIABLES}, got {n}")
         return cls(n, minimalize(gens, n))
 
     @classmethod
@@ -160,10 +163,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonomialIdeal":
-        try:
+        with malformed("ideal", obj):
             return cls.make(int(obj["n"]), obj["gens"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed ideal JSON: {obj!r}") from exc
 
 
 def _tile(block: int, width: int, count: int) -> int:
@@ -193,16 +194,15 @@ class Box:
     __slots__ = ("corner", "strides", "size", "masks")
 
     def __init__(self, corner: Multidegree) -> None:
-        size = math.prod(c + 1 for c in corner)
-        if size > BOX_POINT_CAP:
-            raise BudgetExceededError(
-                f"box {list(corner)} has {size} points, over the cap of {BOX_POINT_CAP}"
-            )
         strides = []
-        step = 1
+        size = 1
         for c in reversed(corner):
-            strides.append(step)
-            step *= c + 1
+            strides.append(size)
+            size *= c + 1
+            if size > BOX_POINT_CAP:  # stop before the count grows any further
+                raise BudgetExceededError(
+                    f"box over {len(corner)} variables has more than {BOX_POINT_CAP} points"
+                )
         strides.reverse()
         self.corner = tuple(corner)
         self.strides = tuple(strides)

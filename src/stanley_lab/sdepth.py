@@ -17,18 +17,20 @@ table is built from them only when the search first forces its bottom.
 
 The search is a deterministic exact-cover backtracking: the lexicographically
 (degree-first) least uncovered element must be the bottom of its interval, so
-only tops are branched on.  Budgets are node counts; exceeding one is a
-distinct tri-state outcome, never a silent failure.
+only tops are branched on.  The walk is one loop over an explicit path of
+open nodes, not a recursion, so a walk as deep as the poset is large runs
+without touching interpreter state such as the recursion limit.  Budgets are
+node counts; exceeding one is a distinct tri-state outcome, never a silent
+failure.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import product as lattice_product
 from operator import eq
 
-from .errors import BudgetExceededError, InputError, UndefinedValueError
+from .errors import InputError, UndefinedValueError
 from .monomials import Box, Multidegree
 from .stanley import (
     ModulePresentation,
@@ -53,7 +55,6 @@ class CharacteristicPoset:
 
     n: int
     g: Multidegree
-    free_vars: frozenset[int]
     elements: tuple[Multidegree, ...]
     ranks: tuple[int, ...]
     up: tuple[int, ...]
@@ -85,9 +86,8 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     for i, row in enumerate(steps):
         for k in row:
             down[k] |= down[i]
-    free = frozenset(j + 1 for j, e in enumerate(g) if e == 0)
     ranks = tuple(sum(map(eq, e, g)) for e in elements)
-    return CharacteristicPoset(module.n, g, free, elements, ranks, tuple(up), tuple(down))
+    return CharacteristicPoset(module.n, g, elements, ranks, tuple(up), tuple(down))
 
 
 @dataclass(frozen=True)
@@ -137,46 +137,35 @@ def search_partition(
     if any(not above & tall for above in poset.up):
         return SearchOutcome("none", None, 0)
     rows: list = [None] * m  # row i is built when the walk first forces bottom i
-
     failed: set[int] = set()
-    chosen: list[tuple[Multidegree, Multidegree]] = []
-    nodes = 0
-
-    def walk(uncovered: int) -> bool:
-        nonlocal nodes
-        if uncovered == 0:
-            return True
-        if uncovered in failed:
-            return False
+    # the open nodes above the current one: (uncovered, bottom, row iterator, top)
+    path: list[tuple] = []
+    uncovered, nodes = (1 << m) - 1, 0
+    while uncovered:  # open a node at the uncovered set
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(f"search budget {budget} exhausted")
+            return SearchOutcome("exceeded", None, nodes)
         i = (uncovered & -uncovered).bit_length() - 1
-        row = rows[i]
-        if row is None:
-            row = rows[i] = _row(poset, tall, i)
-        for top, mask in row:
-            if mask & uncovered != mask:
+        if rows[i] is None:
+            rows[i] = _row(poset, tall, i)
+        tops = iter(rows[i])
+        while True:  # take the next fitting top, backtracking while a node has none left
+            for top, mask in tops:
+                # mask lies inside uncovered, so ^ removes it; failed states are not entered
+                if mask & uncovered == mask and uncovered ^ mask not in failed:
+                    path.append((uncovered, i, tops, top))
+                    uncovered ^= mask
+                    break
+            else:
+                if len(failed) < _MEMO_CAP:
+                    failed.add(uncovered)
+                if not path:
+                    return SearchOutcome("none", None, nodes)
+                uncovered, i, tops, _ = path.pop()
                 continue
-            chosen.append((elems[i], top))
-            if walk(uncovered & ~mask):
-                return True
-            chosen.pop()
-        if len(failed) < _MEMO_CAP:
-            failed.add(uncovered)
-        return False
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * m + 1000))
-    try:
-        found = walk((1 << m) - 1)
-    except BudgetExceededError:
-        return SearchOutcome("exceeded", None, nodes)
-    finally:
-        sys.setrecursionlimit(limit)
-    if found:
-        return SearchOutcome("found", IntervalPartition(tuple(chosen)), nodes)
-    return SearchOutcome("none", None, nodes)
+            break
+    chosen = tuple((elems[i], top) for _, i, _, top in path)
+    return SearchOutcome("found", IntervalPartition(chosen), nodes)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, malformed
 from .monomials import (
     Box,
     MonomialIdeal,
@@ -82,15 +82,13 @@ class ModulePresentation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModulePresentation":
-        try:
+        with malformed("module", obj):
             n = int(obj["n"])
             return cls.make(
                 n,
                 MonomialIdeal.make(n, obj["lower_gens"]),
                 MonomialIdeal.make(n, obj["upper_gens"]),
             )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed module JSON: {obj!r}") from exc
 
 
 def generator_corner(module: ModulePresentation) -> Multidegree:
@@ -146,14 +144,12 @@ class StanleyDecomposition:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StanleyDecomposition":
-        try:
+        with malformed("certificate", obj):
             module = ModulePresentation.from_json(obj["module"])
             spaces = tuple(
                 StanleySpace(as_degree(s["u"], module.n), frozenset(int(z) for z in s["Z"]))
                 for s in obj["spaces"]
             )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed certificate JSON: {obj!r}") from exc
         return cls(module, spaces)
 
 

@@ -35,12 +35,10 @@ from .bounds import (
     question_experiment,
     stanley_verdict,
 )
-from .constructions import decompose_power_tree
 from .depth import depth_by_trung, depth_exact
 from .errors import InputError
-from .graphs import Graph, enumerate_labeled_graphs, enumerate_trees, parse_graph
+from .graphs import Graph, enumerate_labeled_graphs, parse_graph
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
-from .stanley import verify
 
 QUESTION_GRAPHS = ("cycle:4", "cycle:6", "path:4", "path:5", "star:3", "star:4")
 
@@ -222,29 +220,6 @@ def sweep_power_bound(
 def sweep_stanley_power(nmax: int, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Stanley's inequality for I^k on the favored classes at k in {n-1, n}."""
     return _stanley_sweep(nmax, KIND_POWER, budget, _favored)
-
-
-def sweep_tree_certificates(
-    nmax: int = 6, ks: Sequence[int] = (1, 2), budget: int = DEFAULT_BUDGET
-) -> list[dict]:
-    """Tree power certificates verify with sdepth >= 2, trees up to nmax vertices."""
-    rows = []
-    for n in range(2, nmax + 1):
-        for tree in enumerate_trees(n):
-            for k in ks:
-                dec = decompose_power_tree(tree, k, budget)
-                report = verify(dec)
-                rows.append(
-                    {
-                        "graph": tree.to_json(),
-                        "k": k,
-                        "valid": report.valid,
-                        "sdepth": report.sdepth,
-                        "spaces": len(dec.spaces),
-                        "ok": report.valid and report.sdepth >= 2,
-                    }
-                )
-    return rows
 
 
 def question_report(

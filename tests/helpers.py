@@ -1,8 +1,17 @@
-"""Seeded random instances and the ideal-identity fuzz, used only by the tests."""
+"""Seeded random instances, the ideal-identity fuzz and the tree-certificate
+sweep, used only by the tests."""
 
 import random
+from typing import Sequence
 
-from stanley_lab import ModulePresentation, MonomialIdeal
+from stanley_lab import (
+    ModulePresentation,
+    MonomialIdeal,
+    decompose_power_tree,
+    enumerate_trees,
+    verify,
+)
+from stanley_lab.sdepth import DEFAULT_BUDGET
 
 
 def _random_disjoint_pair(
@@ -94,3 +103,26 @@ def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:
         if not module.is_zero():
             out.append(module)
     return out
+
+
+def sweep_tree_certificates(
+    nmax: int = 6, ks: Sequence[int] = (1, 2), budget: int = DEFAULT_BUDGET
+) -> list[dict]:
+    """Tree power certificates verify with sdepth >= 2, trees up to nmax vertices."""
+    rows = []
+    for n in range(2, nmax + 1):
+        for tree in enumerate_trees(n):
+            for k in ks:
+                dec = decompose_power_tree(tree, k, budget)
+                report = verify(dec)
+                rows.append(
+                    {
+                        "graph": tree.to_json(),
+                        "k": k,
+                        "valid": report.valid,
+                        "sdepth": report.sdepth,
+                        "spaces": len(dec.spaces),
+                        "ok": report.valid and report.sdepth >= 2,
+                    }
+                )
+    return rows

@@ -23,10 +23,9 @@ from stanley_lab.sweeps import (
     sweep_s_mod_bound,
     sweep_stanley_power,
     sweep_stanley_s_mod,
-    sweep_tree_certificates,
 )
 
-from helpers import identity_fuzz, random_presentations
+from helpers import identity_fuzz, random_presentations, sweep_tree_certificates
 
 BUDGET = 2_000_000
 

@@ -253,6 +253,50 @@ def test_input_error_exit_code():
     assert out.returncode == 2
 
 
+def _certificate(n, lower=(), upper=()):
+    module = {"n": n, "lower_gens": list(lower), "upper_gens": list(upper)}
+    return json.dumps({"module": module, "spaces": []})
+
+
+BIG = 10**1499  # 1,500 digits: past the 4,300-digit limit once a box multiplies it out
+
+
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        pytest.param("verify", _certificate("abc"), 2, id="module-n-abc"),
+        pytest.param("verify", _certificate(2, upper=[[1, "a"]]), 2, id="exponent-a"),
+        pytest.param("analyze", json.dumps({"n": "x", "edges": [[1, 2]]}), 2, id="graph-n-x"),
+        pytest.param(
+            "verify", '{"module": {"n": 1e400, "lower_gens": [], "upper_gens": []}, "spaces": []}',
+            2, id="module-n-infinite",
+        ),
+        pytest.param(
+            "verify", '{"module": {"n": ' + "9" * 5000 + "}}", 2, id="number-too-long-for-int"
+        ),
+        pytest.param(
+            "analyze", json.dumps({"n": 2_000_000, "edges": [[1, 2]]}), 2, id="graph-n-2000000"
+        ),
+        pytest.param("verify", _certificate(2_000_000), 2, id="module-n-2000000"),
+        pytest.param("verify", _certificate(200_000), 2, id="module-n-200000"),
+        pytest.param("verify", _certificate(25), 2, id="module-n-25"),  # one over the cap of 24
+        pytest.param(
+            "verify", _certificate(3, lower=[[BIG, BIG, BIG]], upper=[[0, 0, 0]]),
+            3, id="box-of-1500-digit-exponents",
+        ),
+    ],
+)
+def test_malformed_and_oversized_inputs_exit_cleanly(tmp_path, command, text, code):
+    """Malformed numbers and more than 24 variables are input errors; a box
+    over the point cap is a budget error.  Each fails fast, without a traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = run(command, str(path), timeout=30)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("input error" if code == 2 else "budget exceeded")
+
+
 def test_graph_file_input(tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}))

@@ -19,8 +19,14 @@ from stanley_lab import (
 )
 from stanley_lab.bounds import module_for
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
-from stanley_lab import sdepth
-from stanley_lab.sdepth import DEFAULT_BUDGET, _row
+from stanley_lab import BudgetExceededError, sdepth
+from stanley_lab.sdepth import (
+    _MEMO_CAP,
+    DEFAULT_BUDGET,
+    IntervalPartition,
+    SearchOutcome,
+    _row,
+)
 
 from helpers import random_presentations
 
@@ -36,7 +42,7 @@ def test_build_poset_quotient():
     poset = build_poset(S_MOD_XY)
     assert poset.g == (1, 1)
     assert set(poset.elements) == {(0, 0), (1, 0), (0, 1)}
-    assert poset.free_vars == frozenset()
+    assert [j for j, e in enumerate(poset.g, 1) if e == 0] == []
 
 
 def test_build_poset_ideal():
@@ -113,21 +119,100 @@ def test_budget_exhaustion_is_tristate():
     assert outcome.partition is None
 
 
-def test_search_restores_recursion_limit():
+def test_search_restores_recursion_limit(monkeypatch):
+    """No search touches the recursion limit, not even one whose walk is
+    deeper than the limit: the layer (x,y,z)^45/(x,y,z)^46 is an antichain of
+    1,081 elements, so at target 0 each element is its own interval."""
     quotient = build_poset(S_MOD_XY)
     cycle4 = build_poset(module_for(preset("cycle:4"), 2, "s-mod-power"))
+    antichain = build_poset(
+        ModulePresentation.power_layer(MonomialIdeal.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 45)
+    )
     cases = [(quotient, 1, DEFAULT_BUDGET, "found"),
              (quotient, 2, DEFAULT_BUDGET, "none"),
              (cycle4, 2, DEFAULT_BUDGET, "none"),  # proved by the walk, not the cover check
-             (cycle4, 1, 1, "exceeded")]
+             (cycle4, 1, 1, "exceeded"),
+             (antichain, 0, DEFAULT_BUDGET, "found")]
+
+    def forbidden(limit):
+        raise AssertionError(f"a search set the recursion limit to {limit}")
+
     saved = sys.getrecursionlimit()
     try:
+        sys.setrecursionlimit(500)  # below the 1,081-deep walk of the antichain
+        monkeypatch.setattr(sys, "setrecursionlimit", forbidden)
         for poset, target, budget, status in cases:
-            sys.setrecursionlimit(500)  # below the 4 * m + 1000 every search asks for
-            assert search_partition(poset, target, budget).status == status
+            outcome = search_partition(poset, target, budget)
+            assert outcome.status == status
             assert sys.getrecursionlimit() == 500
     finally:
+        monkeypatch.undo()
         sys.setrecursionlimit(saved)
+    assert len(antichain.elements) == outcome.nodes == len(outcome.partition.intervals) == 1081
+
+
+def reference_search(poset, target, budget, memo_cap):
+    """The recursive walk that search_partition replaced, kept as its reference:
+    one call per chosen interval, the budget reported by an exception."""
+    elems = poset.elements
+    m = len(elems)
+    tall = sum(1 << j for j, r in enumerate(poset.ranks) if r >= target)
+    if any(not above & tall for above in poset.up):
+        return SearchOutcome("none", None, 0)
+    rows = [None] * m
+    failed = set()
+    chosen = []
+    nodes = 0
+
+    def walk(uncovered):
+        nonlocal nodes
+        if uncovered == 0:
+            return True
+        if uncovered in failed:
+            return False
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search budget {budget} exhausted")
+        i = (uncovered & -uncovered).bit_length() - 1
+        row = rows[i]
+        if row is None:
+            row = rows[i] = _row(poset, tall, i)
+        for top, mask in row:
+            if mask & uncovered != mask:
+                continue
+            chosen.append((elems[i], top))
+            if walk(uncovered & ~mask):
+                return True
+            chosen.pop()
+        if len(failed) < memo_cap:
+            failed.add(uncovered)
+        return False
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * m + 1000))
+    try:
+        found = walk((1 << m) - 1)
+    except BudgetExceededError:
+        return SearchOutcome("exceeded", None, nodes)
+    finally:
+        sys.setrecursionlimit(limit)
+    if found:
+        return SearchOutcome("found", IntervalPartition(tuple(chosen)), nodes)
+    return SearchOutcome("none", None, nodes)
+
+
+def test_search_matches_recursive_walk(monkeypatch):
+    """Status, partition and node count equal the recursive walk's on every
+    target of every table module: at the default budget, at a budget small
+    enough to stop some walks, and with a memo that fills after two states."""
+    statuses = Counter()
+    for budget, memo_cap in ((DEFAULT_BUDGET, _MEMO_CAP), (3, _MEMO_CAP), (2000, 2)):
+        monkeypatch.setattr(sdepth, "_MEMO_CAP", memo_cap)
+        for poset, target, _ in _reference_cases():
+            outcome = search_partition(poset, target, budget)
+            assert outcome == reference_search(poset, target, budget, memo_cap)
+            statuses[outcome.status] += 1
+    assert set(statuses) == {"found", "none", "exceeded"}
 
 
 def reference_candidates(poset, target):
@@ -259,7 +344,7 @@ def test_free_variable_additivity():
     base = sdepth_exact(S_MOD_XY)
     extended = sdepth_exact(wide)
     assert extended.value == base.value + 2
-    assert build_poset(wide).free_vars == frozenset({3, 4})
+    assert [j for j, e in enumerate(build_poset(wide).g, 1) if e == 0] == [3, 4]
 
 
 def test_full_ring_sdepth_is_n():
