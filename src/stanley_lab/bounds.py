@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .depth import depth_by_trung, depth_exact
 from .errors import InputError, UndefinedValueError
-from .graphs import Graph
+from .graphs import Component, Graph
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
 from .stanley import ModulePresentation
 
@@ -78,13 +78,8 @@ def _module_is_zero(graph: Graph, k: int, kind: str) -> bool:
     return kind != KIND_S_MOD and k >= 1 and not graph.has_edges()
 
 
-def _instance(graph: Graph, k: int | None, kind: str | None) -> dict:
-    inst: dict = {"graph": graph.to_json()}
-    if k is not None:
-        inst["k"] = k
-    if kind is not None:
-        inst["kind"] = kind
-    return inst
+def _instance(graph: Graph, k: int, kind: str) -> dict:
+    return {"graph": graph.to_json(), "k": k, "kind": kind}
 
 
 def analytic_spread_edge(graph: Graph) -> int:
@@ -107,13 +102,13 @@ def lower_sdepth_s_mod_power(graph: Graph) -> int:
     return graph.bipartite_component_count()
 
 
-def _lifts(graph: Graph, comp: tuple[int, ...]) -> bool:
+def _lifts(comp: Component) -> bool:
     """Whether filtering I^k along comp reaches p + 1: comp is a tree or
     not bipartite."""
-    return graph.is_tree(comp) or not graph.is_bipartite_component(comp)
+    return comp.tree or not comp.bipartite
 
 
-def pivot_component(graph: Graph) -> tuple[int, ...]:
+def pivot_component(graph: Graph) -> Component:
     """The component with an edge that the power bound filters along.
 
     Filtering along a component H gives base(H) + h(H), where base(H) is 2
@@ -124,10 +119,10 @@ def pivot_component(graph: Graph) -> tuple[int, ...]:
     or non-bipartite, and p otherwise.  The pivot is the first component
     reaching p + 1, else the first component with an edge.
     """
-    comps = [c for c in graph.components() if graph.induced_edges(c)]
+    comps = [c for c in graph.components() if c.edges]
     if not comps:
         raise InputError("the edge ideal is zero; I^k has no elements")
-    return next((c for c in comps if _lifts(graph, c)), comps[0])
+    return next((c for c in comps if _lifts(c)), comps[0])
 
 
 def lower_sdepth_power(graph: Graph, k: int) -> int:
@@ -141,7 +136,7 @@ def lower_sdepth_power(graph: Graph, k: int) -> int:
     if k < 1:
         raise InputError(f"power {k} must be positive")
     pivot = pivot_component(graph)
-    return graph.bipartite_component_count() + int(_lifts(graph, pivot))
+    return graph.bipartite_component_count() + int(_lifts(pivot))
 
 
 def _depth_with_source(
@@ -221,7 +216,7 @@ def question_experiment(
     comps = graph.components()
     if len(comps) != 1:
         raise InputError("the graph must be connected")
-    if not graph.is_bipartite_component(comps[0]):
+    if not comps[0].bipartite:
         raise InputError("the graph must be bipartite")
     module = module_for(graph, k, KIND_POWER)
     result = sdepth_exact(module, budget)

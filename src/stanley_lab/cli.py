@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -37,6 +36,7 @@ from .errors import (
     ContradictionError,
     InputError,
     UndefinedValueError,
+    load_json,
 )
 from .graphs import parse_graph
 from .sdepth import DEFAULT_BUDGET, build_poset, sdepth_exact, search_partition
@@ -48,24 +48,6 @@ EXIT_OK = 0
 EXIT_CLAIM = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-
-def _default_budget() -> int:
-    raw = os.environ.get("STANLEY_LAB_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"STANLEY_LAB_BUDGET must be an integer, got {raw!r}") from exc
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a number too long to read
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> None:
@@ -85,16 +67,11 @@ def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
     comps = graph.components()
-    details = []
-    for comp in comps:
-        details.append(
-            {
-                "vertices": list(comp),
-                "bipartite": graph.is_bipartite_component(comp),
-                "tree": graph.is_tree(comp),
-                "edges": len(graph.induced_edges(comp)),
-            }
-        )
+    details = [
+        {"vertices": list(c.vertices), "bipartite": c.bipartite, "tree": c.tree,
+         "edges": len(c.edges)}
+        for c in comps
+    ]
     p = graph.bipartite_component_count()
     result = {
         "n": graph.num_vertices,
@@ -148,7 +125,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    dec = StanleyDecomposition.from_json(_load_json(args.certificate))
+    dec = StanleyDecomposition.from_json(load_json(args.certificate))
     report = verify(dec)
     result = report.to_json()
     if report.valid:
@@ -164,7 +141,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _module_from_args(args: argparse.Namespace) -> ModulePresentation:
     if args.module:
-        return ModulePresentation.from_json(_load_json(args.module))
+        return ModulePresentation.from_json(load_json(args.module))
     if args.graph and args.k is not None:
         return module_for(parse_graph(args.graph), args.k, args.kind)
     raise InputError("provide --module, or --graph with --k")
@@ -197,7 +174,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
     result: dict = {}
     lines = []
     if args.module:
-        module = ModulePresentation.from_json(_load_json(args.module))
+        module = ModulePresentation.from_json(load_json(args.module))
         profile = homology_profile(module)
         result["depth"] = profile.depth
         result["homology_ranks"] = list(profile.ranks)
@@ -208,7 +185,10 @@ def cmd_depth(args: argparse.Namespace) -> int:
             result["degree_table"] = table
     if args.trung:
         graph = parse_graph(args.trung[0])
-        k = int(args.trung[1])
+        try:
+            k = int(args.trung[1])
+        except ValueError as exc:
+            raise InputError(f"--trung power must be an integer, got {args.trung[1]!r}") from exc
         value = depth_by_trung(graph, k)
         result["limit_depth_formula"] = value
         lines.append(
@@ -288,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=None,
-            help="search node budget (default: STANLEY_LAB_BUDGET or built-in)",
+            default=DEFAULT_BUDGET,
+            help=f"search node budget (default: {DEFAULT_BUDGET})",
         )
 
     p = sub.add_parser("analyze", help="graph invariants: components, p, l(I)")
@@ -354,18 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = list(argv) if argv is not None else None
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        try:
-            args.budget = _default_budget()
-        except InputError as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UndefinedValueError as exc:
+    except (InputError, UndefinedValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .bounds import pivot_component
 from .errors import BudgetExceededError, ContradictionError, InputError
-from .graphs import Graph
+from .graphs import Component, Graph
 from .monomials import MonomialIdeal, deg_add
 from .sdepth import (
     DEFAULT_BUDGET,
@@ -159,7 +159,7 @@ def decompose_layer(
     module = ModulePresentation.power_layer(graph.edge_ideal(), k)
     if module.is_zero():
         return StanleyDecomposition(module, ())
-    comps = tuple(c for c in graph.components() if graph.induced_edges(c))
+    comps = tuple(c for c in graph.components() if c.edges)
     if not comps:
         # zero edge ideal and a nonzero layer: k = 0 and the module is the ring
         space = StanleySpace((0,) * graph.n, frozenset(range(1, graph.n + 1)))
@@ -169,12 +169,12 @@ def decompose_layer(
 
 @_per_request
 def _layer_blocks(
-    graph: Graph, comps: tuple[tuple[int, ...], ...], k: int, budget: int
+    graph: Graph, comps: tuple[Component, ...], k: int, budget: int
 ) -> StanleyDecomposition:
     """Layer decomposition for the subgraph on ``comps`` (each has an edge)."""
-    sub = _induced(graph, (v for c in comps for v in c))
+    sub = _induced(graph, (v for c in comps for v in c.vertices))
     module = ModulePresentation.power_layer(sub.edge_ideal(), k)
-    bipartite = [c for c in comps if graph.is_bipartite_component(c)]
+    bipartite = [c for c in comps if c.bipartite]
     if len(comps) == 1 or not bipartite:
         if len(comps) == 1 and bipartite:
             return _oracle_certificate(
@@ -182,7 +182,7 @@ def _layer_blocks(
                 "positive depth of layers over a connected bipartite graph",
             )
         return _oracle_certificate(sub, module, 0, budget, "nonzero layer module")
-    first = min(bipartite, key=lambda c: (len(c), c))
+    first = min(bipartite, key=lambda c: (len(c.vertices), c.vertices))
     rest = tuple(c for c in comps if c != first)
     pieces = []
     for s in range(k + 1):
@@ -227,7 +227,7 @@ def decompose_power_tree(
     if k < 1:
         raise InputError(f"power {k} must be positive")
     comps = graph.components()
-    if len(comps) != 1 or not graph.is_tree(comps[0]) or not graph.has_edges():
+    if len(comps) != 1 or not comps[0].tree or not graph.has_edges():
         raise InputError("the graph must be a tree with at least one edge")
     return _checked(_tree_power(graph, k, budget), f"tree power k={k}")
 
@@ -310,7 +310,7 @@ def decompose_power_general(
     if not graph.has_edges():
         raise InputError("the edge ideal is zero; I^k has no elements")
     pivot = pivot_component(graph)
-    rest_graph = graph.delete_vertices(pivot)
+    rest_graph = graph.delete_vertices(pivot.vertices)
     if not rest_graph.has_edges():
         return _checked(_power_base(graph, pivot, k, budget), f"single-component power k={k}")
 
@@ -331,14 +331,14 @@ def decompose_power_general(
 
 @_per_request
 def _power_base(
-    graph: Graph, comp: tuple[int, ...], k: int, budget: int
+    graph: Graph, comp: Component, k: int, budget: int
 ) -> StanleyDecomposition:
     """Decomposition of one connected component's ideal power."""
-    sub = _induced(graph, comp)
-    if graph.is_tree(comp):
+    sub = _induced(graph, comp.vertices)
+    if comp.tree:
         return _tree_power(sub, k, budget)
     module = ModulePresentation.of_ideal(sub.edge_ideal() ** k)
-    if not graph.is_bipartite_component(comp):
+    if not comp.bipartite:
         return _oracle_certificate(
             sub, module, 1, budget,
             "every nonzero monomial ideal has a depth-one decomposition",
@@ -346,7 +346,7 @@ def _power_base(
     # connected bipartite non-tree: best effort, floor of 1 still guaranteed;
     # the n - |comp| variables off the component count toward the value
     result = sdepth_exact(module, budget)
-    if result.value >= 1 + graph.n - len(comp):
+    if result.value >= 1 + graph.n - len(comp.vertices):
         dec = partition_to_decomposition(result.poset, result.partition, module)
         return _checked(dec, "best-effort component power")
     return _oracle_certificate(

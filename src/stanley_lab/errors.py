@@ -1,7 +1,12 @@
-"""Shared error types; the CLI maps these onto exit codes."""
+"""Shared error types, which the CLI maps onto exit codes, and the readers
+that turn bad input into an InputError with a message of bounded length."""
 
+import json
 from contextlib import contextmanager
 from typing import Iterator
+
+# Longest repr of an input value that an error message quotes.
+QUOTE_LIMIT = 200
 
 
 class InputError(ValueError):
@@ -30,5 +35,27 @@ def malformed(what: str, obj: object) -> Iterator[None]:
         yield
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
-        raise InputError(f"malformed {what} JSON: {obj!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {what} JSON: {quote(obj)}") from exc
+
+
+def quote(value: object) -> str:
+    """repr(value), cut to QUOTE_LIMIT characters."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+
+
+def as_int(value: object) -> int:
+    """An integer read from JSON; a bool, float or str is rejected, not coerced."""
+    if type(value) is not int:
+        raise InputError(f"expected an integer, got {quote(value)}")
+    return value
+
+
+def load_json(path: str) -> object:
+    """The parsed contents of a JSON file; any read or parse failure is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a number too long to read
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc

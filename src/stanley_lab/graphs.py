@@ -4,24 +4,39 @@ Vertices are labeled inside a fixed ambient 1..n so that edge ideals of a
 graph and of its vertex-deleted subgraphs live in the same polynomial ring.
 ``vertices`` is the active label set; deleting vertices shrinks it but keeps
 the ambient n and the remaining labels.
+
+``Graph.components()`` classifies every connected component once, in one
+breadth-first forest; p and every pivot choice read its ``Component`` records.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product as cartesian
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError, malformed
+from .errors import InputError, as_int, load_json, malformed, quote
 from .monomials import MAX_VARIABLES, MonomialIdeal
 
 Edge = tuple[int, int]
 
 _PRESET_RE = re.compile(r"^(path|cycle|star|complete):(\d+)$")
+
+
+class Component(NamedTuple):
+    """One connected component of a graph: its sorted vertices, its edges in
+    the graph's sorted order, and whether it has no odd cycle."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[Edge, ...]
+    bipartite: bool
+
+    @property
+    def tree(self) -> bool:
+        """Connected with one edge fewer than vertices (a singleton is one)."""
+        return len(self.edges) == len(self.vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -40,13 +55,13 @@ class Graph:
         if not 1 <= n <= MAX_VARIABLES:
             raise InputError(f"vertex count must be in 1..{MAX_VARIABLES}, got {n}")
         verts = frozenset(range(1, n + 1)) if vertices is None else frozenset(
-            int(v) for v in vertices
+            map(as_int, vertices)
         )
         if not verts <= frozenset(range(1, n + 1)):
-            raise InputError(f"vertex labels {sorted(verts)} out of range 1..{n}")
+            raise InputError(f"vertex labels {quote(sorted(verts))} out of range 1..{n}")
         cleaned = set()
         for e in edges:
-            i, j = (int(x) for x in e)
+            i, j = map(as_int, e)
             if i == j:
                 raise InputError(f"loop at vertex {i}")
             if i > j:
@@ -70,79 +85,49 @@ class Graph:
             j if i == v else i for i, j in self.edges if v in (i, j)
         )
 
-    def _adjacency(self, keep: frozenset[int]) -> dict[int, list[int]]:
-        """Neighbor lists of the subgraph induced on keep."""
-        adj: dict[int, list[int]] = {v: [] for v in keep}
+    def _adjacency(self) -> dict[int, list[int]]:
+        """Neighbor lists of every vertex."""
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for i, j in self.edges:
-            if i in keep and j in keep:
-                adj[i].append(j)
-                adj[j].append(i)
+            adj[i].append(j)
+            adj[j].append(i)
         return adj
 
-    def _search(self, keep: frozenset[int]) -> list[dict[int, int]]:
-        """Breadth-first forest of the subgraph induced on keep: one
-        {vertex: distance from the root} per component, rooted at and listed
-        by its least vertex."""
-        adj = self._adjacency(keep)
-        seen: set[int] = set()
-        forest = []
-        for root in sorted(keep):
-            if root in seen:
-                continue
-            dist = {root: 0}
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-            seen.update(dist)
-            forest.append(dist)
-        return forest
+    def components(self) -> tuple[Component, ...]:
+        """The connected components, listed by smallest vertex; isolated
+        vertices are singleton components.
 
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of the vertex set into maximal connected pieces.
-
-        Isolated vertices form singleton components.  Components are sorted
-        internally and listed by smallest member.
+        One breadth-first forest, each tree rooted at its least vertex, fills
+        every record: an edge joining two vertices whose distances from the
+        root have equal parity closes an odd cycle.
         """
-        return tuple(tuple(sorted(tree)) for tree in self._search(self.vertices))
-
-    def induced_edges(self, comp: Iterable[int]) -> tuple[Edge, ...]:
-        keep = frozenset(comp)
-        return tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-
-    def _bipartite_trees(self, keep: frozenset[int]) -> list[bool]:
-        """For each tree of the breadth-first forest on keep, whether distance
-        parity 2-colors it: an edge joining equal parities closes an odd cycle."""
-        forest = self._search(keep)
-        where = {v: (t, d % 2) for t, tree in enumerate(forest) for v, d in tree.items()}
-        odd = {where[i][0] for i, j in self.induced_edges(keep) if where[i] == where[j]}
-        return [t not in odd for t in range(len(forest))]
-
-    def is_bipartite_component(self, comp: Iterable[int]) -> bool:
-        """Proper 2-colorability of the induced subgraph (singletons qualify)."""
-        return all(self._bipartite_trees(frozenset(comp)))
+        adj = self._adjacency()
+        where: dict[int, tuple[int, int]] = {}  # vertex -> (tree, distance parity)
+        trees: list[list[int]] = []
+        for root in sorted(self.vertices):
+            if root in where:
+                continue
+            where[root] = (len(trees), 0)
+            tree = [root]
+            for u in tree:  # the list is the queue: it grows while read
+                t, parity = where[u]
+                for w in adj[u]:
+                    if w not in where:
+                        where[w] = (t, 1 - parity)
+                        tree.append(w)
+            trees.append(tree)
+        edges: list[list[Edge]] = [[] for _ in trees]
+        bipartite = [True] * len(trees)
+        for i, j in self.edges:
+            t = where[i][0]
+            edges[t].append((i, j))
+            bipartite[t] &= where[i] != where[j]
+        return tuple(Component(tuple(sorted(tree)), tuple(es), b)
+                     for tree, es, b in zip(trees, edges, bipartite))
 
     def bipartite_component_count(self) -> int:
         """The invariant p: number of connected components with no odd cycle."""
-        return sum(self._bipartite_trees(self.vertices))
-
-    def is_connected_set(self, comp: Iterable[int]) -> bool:
-        keep = frozenset(comp)
-        if not keep:
-            return False
-        if not keep <= self.vertices:
-            raise InputError(f"{sorted(keep)} is not a subset of the vertex set")
-        return len(self._search(keep)) == 1
-
-    def is_tree(self, comp: Iterable[int]) -> bool:
-        """Whether the induced subgraph on a connected vertex set is a tree."""
-        keep = frozenset(comp)
-        if not self.is_connected_set(keep):
-            raise InputError(f"{sorted(keep)} is not connected")
-        return len(self.induced_edges(keep)) == len(keep) - 1
+        return sum(c.bipartite for c in self.components())
 
     def find_leaf(self) -> int | None:
         """Smallest vertex with exactly one neighbor, if any."""
@@ -179,7 +164,7 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         with malformed("graph", obj):
-            return cls.make(int(obj["n"]), obj["edges"], obj.get("vertices"))
+            return cls.make(as_int(obj["n"]), obj["edges"], obj.get("vertices"))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -216,8 +201,7 @@ def parse_graph(text: str) -> Graph:
         if _PRESET_RE.match(part):
             graphs.append(preset(part))
         elif os.path.exists(part):
-            with open(part, "r", encoding="utf-8") as fh:
-                graphs.append(Graph.from_json(json.load(fh)))
+            graphs.append(Graph.from_json(load_json(part)))
         else:
             raise InputError(f"not a preset and not a file: {part!r}")
     out = graphs[0]
@@ -264,7 +248,7 @@ def canonical_tree_form(g: Graph) -> str:
     isomorphism preserves.  The AHU code of a rooted tree (Aho-Hopcroft-Ullman)
     is "(" + the sorted codes of the child subtrees + ")".
     """
-    adj = g._adjacency(g.vertices)
+    adj = g._adjacency()
     if len(g.edges) != len(adj) - 1:
         raise InputError(f"not a tree: {len(adj)} vertices and {len(g.edges)} edges")
     degree = {v: len(ws) for v, ws in adj.items()}

@@ -14,7 +14,7 @@ from itertools import compress, groupby, product as lattice_product
 from operator import add, le, mul, xor
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InputError, malformed
+from .errors import BudgetExceededError, InputError, as_int, malformed, quote
 
 Multidegree = tuple[int, ...]
 
@@ -31,12 +31,13 @@ _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def as_degree(exponents: Sequence[int], n: int | None = None) -> Multidegree:
-    """Coerce to a validated exponent tuple, optionally enforcing length n."""
-    deg = tuple(map(int, exponents))
+    """A validated exponent tuple, optionally of length n; an exponent that
+    is not an int (a bool, float or str) is rejected, not coerced."""
+    deg = tuple(map(as_int, exponents))
     if deg and min(deg) < 0:
-        raise InputError(f"negative exponent in {deg}")
+        raise InputError(f"negative exponent in {quote(deg)}")
     if n is not None and len(deg) != n:
-        raise InputError(f"expected a multidegree of length {n}, got {deg}")
+        raise InputError(f"expected a multidegree of length {n}, got {quote(deg)}")
     return deg
 
 
@@ -164,7 +165,7 @@ class MonomialIdeal:
     @classmethod
     def from_json(cls, obj: dict) -> "MonomialIdeal":
         with malformed("ideal", obj):
-            return cls.make(int(obj["n"]), obj["gens"])
+            return cls.make(as_int(obj["n"]), obj["gens"])
 
 
 def _tile(block: int, width: int, count: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import InputError, malformed
+from .errors import InputError, as_int, malformed, quote
 from .monomials import (
     Box,
     MonomialIdeal,
@@ -83,7 +83,7 @@ class ModulePresentation:
     @classmethod
     def from_json(cls, obj: dict) -> "ModulePresentation":
         with malformed("module", obj):
-            n = int(obj["n"])
+            n = as_int(obj["n"])
             return cls.make(
                 n,
                 MonomialIdeal.make(n, obj["lower_gens"]),
@@ -147,7 +147,7 @@ class StanleyDecomposition:
         with malformed("certificate", obj):
             module = ModulePresentation.from_json(obj["module"])
             spaces = tuple(
-                StanleySpace(as_degree(s["u"], module.n), frozenset(int(z) for z in s["Z"]))
+                StanleySpace(as_degree(s["u"], module.n), frozenset(map(as_int, s["Z"])))
                 for s in obj["spaces"]
             )
         return cls(module, spaces)
@@ -195,7 +195,7 @@ def _check_spaces(spaces: Sequence[StanleySpace], n: int) -> None:
     for s in spaces:
         as_degree(s.u, n)  # raises InputError on a wrong length or a negative exponent
         if not s.Z <= variables:
-            raise InputError(f"space variables {sorted(s.Z)} out of range 1..{n}")
+            raise InputError(f"space variables {quote(sorted(s.Z))} out of range 1..{n}")
 
 
 def verify(dec: StanleyDecomposition) -> VerificationReport:

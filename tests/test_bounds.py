@@ -150,11 +150,11 @@ def maximizing_pivot(graph):
     lexicographically least component.  Returns (pivot, bound)."""
     best, best_key = None, None
     for comp in graph.components():
-        if not graph.induced_edges(comp):
+        if not comp.edges:
             continue
-        base = 2 if graph.is_tree(comp) else 1
-        h = graph.delete_vertices(comp).bipartite_component_count()
-        key = (base + h, [-v for v in comp])
+        base = 2 if comp.tree else 1
+        h = graph.delete_vertices(comp.vertices).bipartite_component_count()
+        key = (base + h, [-v for v in comp.vertices])
         if best is None or key > best_key:
             best, best_key = comp, key
     return best, best_key[0]
@@ -163,9 +163,9 @@ def maximizing_pivot(graph):
 def favored_by_components(graph):
     """A certified p+1 power bound: non-bipartite, or a tree component with an edge."""
     comps = graph.components()
-    if any(not graph.is_bipartite_component(c) for c in comps):
+    if any(not c.bipartite for c in comps):
         return True
-    return any(graph.induced_edges(c) and graph.is_tree(c) for c in comps)
+    return any(c.edges and c.tree for c in comps)
 
 
 def test_pivot_rule_matches_component_search():

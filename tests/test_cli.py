@@ -10,6 +10,7 @@ import pytest
 
 import stanley_lab
 from stanley_lab import ModulePresentation, MonomialIdeal, cli, homology_profile
+from stanley_lab.sdepth import DEFAULT_BUDGET
 
 CLI = [sys.executable, "-m", "stanley_lab"]
 # The CLI process imports the same package as this one, installed or not.
@@ -295,6 +296,66 @@ def test_malformed_and_oversized_inputs_exit_cleanly(tmp_path, command, text, co
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("input error" if code == 2 else "budget exceeded")
+
+
+def _spaces_certificate(n, spaces):
+    module = {"n": n, "lower_gens": [], "upper_gens": [[0] * n]}
+    return json.dumps({"module": module, "spaces": spaces})
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        pytest.param(["analyze"], json.dumps({"n": 3.9, "edges": [[1, 2]]}), id="graph-n-float"),
+        pytest.param(["analyze"], json.dumps({"n": True, "edges": []}), id="graph-n-bool"),
+        pytest.param(["analyze"], json.dumps({"n": "3", "edges": [[1, 2]]}), id="graph-n-str"),
+        pytest.param(
+            ["analyze"], json.dumps({"n": 3, "edges": [[1, 2.0]]}), id="graph-edge-float"
+        ),
+        pytest.param(
+            ["sdepth", "--module"],
+            json.dumps({"n": 2, "lower_gens": [], "upper_gens": [[1, 2.5]]}),
+            id="module-exponent-float",
+        ),
+        pytest.param(
+            ["verify"], _spaces_certificate(2, [{"u": [1.7, 0], "Z": [1, 2]}]), id="shift-float"
+        ),
+        pytest.param(
+            ["verify"], _spaces_certificate(2, [{"u": [0, 0], "Z": [1.0, 2]}]), id="z-float"
+        ),
+        pytest.param(
+            ["verify"],
+            _spaces_certificate(
+                3, [{"u": [0, 0, 0], "Z": []}] * 20_000 + [{"u": [0, 0, "q"], "Z": []}]
+            ),
+            id="20001-spaces-last-shift-str",
+        ),
+        pytest.param(["analyze"], '{"n": 3, "edges": [[1, 2]', id="graph-truncated-json"),
+        pytest.param(["analyze"], None, id="graph-path-is-a-directory"),
+        pytest.param(["depth", "--trung", "path:3", "x"], "", id="trung-power-not-a-number"),
+    ],
+)
+def test_bad_input_exits_2_with_a_short_message(tmp_path, args, text):
+    """JSON numbers must be integers, and every unreadable input is an input
+    error with a short message and no traceback.  The input file, or a
+    directory when text is None, is the last argument unless the arguments
+    already name their input."""
+    path = tmp_path / "input.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    argv = args if text == "" else args + [str(path)]
+    out = subprocess.run(CLI + argv, capture_output=True, env=ENV, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert b"Traceback" not in out.stderr
+    assert out.stderr.startswith(b"input error")
+    assert len(out.stderr) < 1000
+
+
+def test_budget_defaults_to_the_built_in_budget():
+    args = cli.build_parser().parse_args(["sdepth", "--graph", "path:3", "--k", "1"])
+    assert args.budget == DEFAULT_BUDGET
 
 
 def test_graph_file_input(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from stanley_lab import Graph, InputError, disjoint_union, parse_graph, preset
 from stanley_lab.graphs import (
+    Component,
     _prufer_to_edges,
     canonical_tree_form,
     enumerate_labeled_graphs,
@@ -14,17 +15,15 @@ from stanley_lab.graphs import (
 )
 
 
-def brute_has_odd_cycle(graph, comp):
+def brute_has_odd_cycle(comp):
     """Odd closed walk detection by powers of the adjacency relation."""
-    comp = list(comp)
-    adj = {v: set() for v in comp}
-    for i, j in graph.induced_edges(comp):
+    adj = {v: set() for v in comp.vertices}
+    for i, j in comp.edges:
         adj[i].add(j)
         adj[j].add(i)
     # odd cycle exists iff some vertex reaches itself by an odd walk while the
     # graph is connected on comp; track parity-reachable sets
-    reach = {v: {(v, 0)} for v in comp}
-    for v in comp:
+    for v in comp.vertices:
         frontier = {(v, 0)}
         seen = {(v, 0)}
         while frontier:
@@ -42,17 +41,25 @@ def brute_has_odd_cycle(graph, comp):
 
 
 def test_components():
-    assert preset("cycle:3").components() == ((1, 2, 3),)
+    triangle = Component((1, 2, 3), ((1, 2), (1, 3), (2, 3)), False)
+    assert preset("cycle:3").components() == (triangle,)
     both = disjoint_union(preset("cycle:3"), preset("path:2"))
-    assert both.components() == ((1, 2, 3), (4, 5))
-    assert Graph.make(3, []).components() == ((1,), (2,), (3,))
+    assert both.components() == (triangle, Component((4, 5), ((4, 5),), True))
+    assert Graph.make(3, []).components() == tuple(
+        Component((v,), (), True) for v in (1, 2, 3)
+    )
 
 
 def test_components_partition():
     for graph in enumerate_labeled_graphs(4):
         comps = graph.components()
-        flat = sorted(v for c in comps for v in c)
+        flat = sorted(v for c in comps for v in c.vertices)
         assert flat == sorted(graph.vertices)
+        assert sorted(e for c in comps for e in c.edges) == list(graph.edges)
+        for c in comps:
+            assert list(c.vertices) == sorted(c.vertices)
+            assert list(c.edges) == sorted(c.edges)
+            assert all(i in c.vertices and j in c.vertices for i, j in c.edges)
 
 
 def test_bipartite_count():
@@ -66,27 +73,32 @@ def test_bipartite_count():
 def test_bipartite_agrees_with_odd_cycle_search(n):
     for graph in enumerate_labeled_graphs(n):
         for comp in graph.components():
-            expected = not brute_has_odd_cycle(graph, comp)
-            assert graph.is_bipartite_component(comp) == expected
+            assert comp.bipartite == (not brute_has_odd_cycle(comp))
 
 
 def test_trees_and_leaves():
     p3 = preset("path:3")
-    assert p3.is_tree((1, 2, 3))
     assert p3.find_leaf() == 1
     assert p3.neighbors(2) == frozenset({1, 3})
     c4 = preset("cycle:4")
-    assert not c4.is_tree((1, 2, 3, 4))
     assert c4.find_leaf() is None
     edge = preset("path:2")
-    assert edge.is_tree((1, 2))
     assert edge.find_leaf() == 1
 
 
-def test_is_tree_requires_connected():
-    g = disjoint_union(preset("path:2"), preset("path:2"))
-    with pytest.raises(InputError):
-        g.is_tree((1, 2, 3, 4))
+@pytest.mark.parametrize(
+    "spec, trees",
+    [
+        ("path:3", [True]),
+        ("path:2", [True]),
+        ("cycle:4", [False]),
+        ("cycle:3", [False]),
+        ("path:1", [True]),  # a singleton
+        ("cycle:4+path:1+star:3", [False, True, True]),
+    ],
+)
+def test_component_tree(spec, trees):
+    assert [c.tree for c in parse_graph(spec).components()] == trees
 
 
 def test_tree_edge_and_leaf_counts():
@@ -128,7 +140,7 @@ def test_presets_and_parse():
     assert len(preset("complete:4").edges) == 6
     g = parse_graph("cycle:3+path:2")
     assert g.n == 5
-    assert g.components() == ((1, 2, 3), (4, 5))
+    assert [c.vertices for c in g.components()] == [(1, 2, 3), (4, 5)]
     with pytest.raises(InputError):
         parse_graph("hexagon:6")
     with pytest.raises(InputError):
@@ -220,13 +232,14 @@ def test_search_invariants_match_networkx():
             ref.add_nodes_from(graph.vertices)
             ref.add_edges_from(graph.edges)
             expected = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
-            assert list(graph.components()) == expected
+            assert [c.vertices for c in graph.components()] == expected
             assert graph.bipartite_component_count() == bipartite_count(ref)
             for mask in range(1, 1 << n):
                 keep = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+                comps = graph.delete_vertices(graph.vertices.difference(keep)).components()
                 sub = ref.subgraph(keep)
-                assert graph.is_connected_set(keep) == nx.is_connected(sub)
-                assert graph.is_bipartite_component(keep) == nx.is_bipartite(sub)
+                assert (len(comps) == 1) == nx.is_connected(sub)
+                assert all(c.bipartite for c in comps) == nx.is_bipartite(sub)
     # on at most 5 vertices only one component can hold an odd cycle
     triangle = preset("cycle:3")
     for graph in (

@@ -58,8 +58,11 @@ def test_minimalize_matches_bruteforce(gens):
 
 
 def test_as_degree_validates():
-    assert as_degree(["1", "0", "2"], 3) == (1, 0, 2)  # string digits are coerced
+    assert as_degree([1, 0, 2], 3) == (1, 0, 2)
     assert as_degree([]) == ()
+    for bad in (["1", "0", "2"], [1, 2.5, 0], [1.0, 0, 0], [True, 0, 0]):
+        with pytest.raises(InputError, match="expected an integer"):
+            as_degree(bad, 3)
     with pytest.raises(InputError, match="negative"):
         as_degree((1, -1), 2)
     with pytest.raises(InputError, match="length 3"):
