@@ -133,8 +133,7 @@ def lower_sdepth_power(graph: Graph, k: int) -> int:
     bipartite non-tree graphs allow 2 is an open question, never encoded as
     a bound.
     """
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
+    _check_power(k, KIND_POWER)
     pivot = pivot_component(graph)
     return graph.bipartite_component_count() + int(_lifts(pivot))
 
@@ -209,8 +208,7 @@ def question_experiment(
     This is experimental evidence only; the verdict vocabulary is
     evidence-for / counterexample / inconclusive, never "holds".
     """
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
+    _check_power(k, KIND_POWER)
     if not graph.has_edges():
         raise InputError("the graph must have at least one edge")
     comps = graph.components()

@@ -3,10 +3,10 @@
 Subcommands: analyze, construct, verify, sdepth, depth, certify, sweep,
 question.  Graphs are JSON files or presets (path:k, cycle:k, star:k,
 complete:k, joined with '+').  Exit codes: 0 success, 1 verification or
-claim failure, 2 input error, 3 budget exceeded; a sweep whose failing rows
-are all undecided (a search stopped by its budget) exits 3.  Reports embed
-the tool version and the full invocation so certificates are reproducible
-artifacts.
+claim failure, 2 input error (bad input, or an output file that cannot be
+written), 3 budget exceeded; a sweep whose failing rows are all undecided (a
+search stopped by its budget) exits 3.  Reports embed the tool version and
+the full invocation so certificates are reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from .bounds import (
     module_for,
     stanley_verdict,
 )
-from .constructions import (
-    decompose_layer,
-    decompose_power_general,
-    decompose_s_mod_power,
-)
+from .constructions import DECOMPOSE
 from .depth import depth_by_trung, homology_profile
 from .errors import (
     BudgetExceededError,
@@ -37,6 +33,7 @@ from .errors import (
     InputError,
     UndefinedValueError,
     load_json,
+    write_json,
 )
 from .graphs import parse_graph
 from .sdepth import DEFAULT_BUDGET, build_poset, sdepth_exact, search_partition
@@ -98,22 +95,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _construct(kind: str, graph, k: int, budget: int) -> StanleyDecomposition:
-    if kind == "layer":
-        return decompose_layer(graph, k, budget)
-    if kind == "s-mod-power":
-        return decompose_s_mod_power(graph, k, budget)
-    return decompose_power_general(graph, k, budget)
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
-    dec = _construct(args.kind, graph, args.k, args.budget)
+    dec = DECOMPOSE[args.kind](graph, args.k, args.budget)
     report = verify(dec)
     cert = dec.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(cert, fh, indent=2, sort_keys=True)
+        write_json(args.out, cert)
     result = {"certificate": cert, "sdepth": report.sdepth, "spaces": len(dec.spaces)}
     lines = [
         f"constructed {args.kind} certificate: {len(dec.spaces)} spaces, "
@@ -162,8 +150,7 @@ def cmd_sdepth(args: argparse.Namespace) -> int:
     result = {"sdepth": res.value, "exact": res.exact}
     if args.cert:
         dec = partition_to_decomposition(res.poset, res.partition, module)
-        with open(args.cert, "w", encoding="utf-8") as fh:
-            json.dump(dec.to_json(), fh, indent=2, sort_keys=True)
+        write_json(args.cert, dec.to_json())
         result["certificate"] = args.cert
     flag = "exact" if res.exact else "lower-bound only"
     _emit(args, result, [f"sdepth = {res.value} ({flag})"])
@@ -279,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a decomposition certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kind", choices=("layer", "s-mod-power", "power"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--out")
     add_budget(p)
     p.set_defaults(func=cmd_construct)

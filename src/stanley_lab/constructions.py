@@ -14,6 +14,9 @@ Four generators of certificates:
   along the powers of one component's ideal and tensoring each filtration
   layer.
 
+``DECOMPOSE`` maps each module kind to its generator.  Every module of a
+graph's ideal comes from ``module_for``, which also rejects a k too small.
+
 Everything lives in the ambient ring S = K[x_1..x_n]: every subproblem is the
 edge ideal of an induced or vertex-deleted ``Graph`` (which keeps n), and every
 piece is a presentation over all n variables.  A variable outside a piece's
@@ -39,7 +42,7 @@ from contextvars import ContextVar
 from functools import wraps
 from typing import Iterable
 
-from .bounds import pivot_component
+from .bounds import KIND_LAYER, KIND_POWER, KIND_S_MOD, module_for, pivot_component
 from .errors import BudgetExceededError, ContradictionError, InputError
 from .graphs import Component, Graph
 from .monomials import MonomialIdeal, deg_add
@@ -154,26 +157,17 @@ def decompose_layer(
     graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> StanleyDecomposition:
     """A verified decomposition of I^k/I^{k+1} with sdepth >= p (k >= 0)."""
-    if k < 0:
-        raise InputError(f"layer index {k} must be nonnegative")
-    module = ModulePresentation.power_layer(graph.edge_ideal(), k)
+    module = module_for(graph, k, KIND_LAYER)
     if module.is_zero():
         return StanleyDecomposition(module, ())
-    comps = tuple(c for c in graph.components() if c.edges)
+    comps = [c for c in graph.components() if c.edges]
     if not comps:
         # zero edge ideal and a nonzero layer: k = 0 and the module is the ring
         space = StanleySpace((0,) * graph.n, frozenset(range(1, graph.n + 1)))
         return _checked(StanleyDecomposition(module, (space,)), "the ring as layer 0")
-    return _layer_blocks(graph, comps, k, budget)
-
-
-@_per_request
-def _layer_blocks(
-    graph: Graph, comps: tuple[Component, ...], k: int, budget: int
-) -> StanleyDecomposition:
-    """Layer decomposition for the subgraph on ``comps`` (each has an edge)."""
+    # sub drops the isolated vertices but keeps the edges and n, so its module
+    # is this one; the oracle counts the vertices off sub toward its target
     sub = _induced(graph, (v for c in comps for v in c.vertices))
-    module = ModulePresentation.power_layer(sub.edge_ideal(), k)
     bipartite = [c for c in comps if c.bipartite]
     if len(comps) == 1 or not bipartite:
         if len(comps) == 1 and bipartite:
@@ -183,12 +177,12 @@ def _layer_blocks(
             )
         return _oracle_certificate(sub, module, 0, budget, "nonzero layer module")
     first = min(bipartite, key=lambda c: (len(c.vertices), c.vertices))
-    rest = tuple(c for c in comps if c != first)
+    head, rest = _induced(graph, first.vertices), sub.delete_vertices(first.vertices)
     pieces = []
     for s in range(k + 1):
         t = k - s
-        d_left = _layer_blocks(graph, (first,), s, budget)
-        d_right = _layer_blocks(graph, rest, t, budget)
+        d_left = decompose_layer(head, s, budget)
+        d_right = decompose_layer(rest, t, budget)
         piece = tensor(d_left, d_right, _tensor_module(d_left, d_right))
         pieces.append(_checked(piece, f"layer block s={s}, t={t}"))
     return _checked(concat(pieces, module), "assembled layer blocks")
@@ -207,10 +201,7 @@ def decompose_s_mod_power(
     The monomials outside I^k split by the largest power of I containing
     them, so the layer certificates for j < k concatenate losslessly.
     """
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
-    ideal = graph.edge_ideal()
-    module = ModulePresentation.quotient_ring(ideal**k)
+    module = module_for(graph, k, KIND_S_MOD)
     layers = [decompose_layer(graph, j, budget) for j in range(k)]
     return _checked(concat(layers, module), f"S/I^{k}")
 
@@ -224,8 +215,6 @@ def decompose_power_tree(
     graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> StanleyDecomposition:
     """A verified decomposition of I^k with sdepth >= 2 for a tree (k >= 1)."""
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
     comps = graph.components()
     if len(comps) != 1 or not comps[0].tree or not graph.has_edges():
         raise InputError("the graph must be a tree with at least one edge")
@@ -236,7 +225,7 @@ def decompose_power_tree(
 def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     """Recursive decomposition of I(tree)^k; variables off the tree act freely."""
     n = tree.n
-    module = ModulePresentation.of_ideal(tree.edge_ideal() ** k)
+    module = module_for(tree, k, KIND_POWER)
     if tree.num_vertices == 2:
         (generator,) = module.upper.gens
         return StanleyDecomposition(
@@ -269,7 +258,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     if pruned.has_edges():
         base = _oracle_certificate(
             pruned,
-            ModulePresentation.of_ideal(pruned.edge_ideal() ** k),
+            module_for(pruned, k, KIND_POWER),
             1,
             budget,
             "every nonzero monomial ideal has a depth-one decomposition",
@@ -305,10 +294,6 @@ def decompose_power_general(
     graphs the base case is a best-effort oracle search, and the achieved
     value is experimental data.
     """
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
-    if not graph.has_edges():
-        raise InputError("the edge ideal is zero; I^k has no elements")
     pivot = pivot_component(graph)
     rest_graph = graph.delete_vertices(pivot.vertices)
     if not rest_graph.has_edges():
@@ -325,8 +310,7 @@ def decompose_power_general(
         piece = tensor(base, rest_layer, _tensor_module(base, rest_layer))
         pieces.append(_checked(piece, f"filtration layer {level}"))
 
-    module = ModulePresentation.of_ideal(graph.edge_ideal() ** k)
-    return _checked(concat(pieces, module), f"power at k={k}")
+    return _checked(concat(pieces, module_for(graph, k, KIND_POWER)), f"power at k={k}")
 
 
 @_per_request
@@ -337,7 +321,7 @@ def _power_base(
     sub = _induced(graph, comp.vertices)
     if comp.tree:
         return _tree_power(sub, k, budget)
-    module = ModulePresentation.of_ideal(sub.edge_ideal() ** k)
+    module = module_for(sub, k, KIND_POWER)
     if not comp.bipartite:
         return _oracle_certificate(
             sub, module, 1, budget,
@@ -353,3 +337,11 @@ def _power_base(
         sub, module, 1, budget,
         "every nonzero monomial ideal has a depth-one decomposition",
     )
+
+
+# The generator of each module kind, for callers that choose the kind at run time.
+DECOMPOSE = {
+    KIND_LAYER: decompose_layer,
+    KIND_S_MOD: decompose_s_mod_power,
+    KIND_POWER: decompose_power_general,
+}

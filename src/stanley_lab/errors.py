@@ -1,5 +1,6 @@
 """Shared error types, which the CLI maps onto exit codes, and the readers
-that turn bad input into an InputError with a message of bounded length."""
+and the writer that turn bad input or an unwritable output path into an
+InputError with a message of bounded length."""
 
 import json
 from contextlib import contextmanager
@@ -29,20 +30,26 @@ class ContradictionError(RuntimeError):
 
 @contextmanager
 def malformed(what: str, obj: object) -> Iterator[None]:
-    """Report a missing field or a value of the wrong type or form while
-    reading ``obj`` as an InputError; InputErrors pass through unchanged."""
+    """Report a missing field, named, or a value of the wrong type or form,
+    with the reason, while reading ``obj`` as an InputError; InputErrors pass
+    through unchanged."""
     try:
         yield
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed {what} JSON: {quote(obj)}") from exc
+        # str() of a KeyError is the repr of the missing key
+        reason = ("missing field " if isinstance(exc, KeyError) else "") + _cut(str(exc))
+        raise InputError(f"malformed {what} JSON: {reason} in {quote(obj)}") from exc
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 def quote(value: object) -> str:
     """repr(value), cut to QUOTE_LIMIT characters."""
-    text = repr(value)
-    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
+    return _cut(repr(value))
 
 
 def as_int(value: object) -> int:
@@ -59,3 +66,12 @@ def load_json(path: str) -> object:
             return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or a number too long to read
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def write_json(path: str, obj: object) -> None:
+    """Write obj as indented, key-sorted JSON; a path that cannot be written is an InputError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        raise InputError(f"cannot write JSON to {path}: {exc}") from exc

@@ -186,9 +186,8 @@ def sdepth_exact(
     a truncated search downgrades the result to a certified lower bound.
     """
     poset = build_poset(module)
-    singles = IntervalPartition(tuple((e, e) for e in poset.elements))
-    best = singles
-    best_value = singles.value(poset)
+    best = IntervalPartition(tuple((e, e) for e in poset.elements))
+    best_value = min(poset.ranks)
     rho_max = max(poset.ranks)
     exact = True
     d = best_value + 1

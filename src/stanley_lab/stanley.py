@@ -146,11 +146,12 @@ class StanleyDecomposition:
     def from_json(cls, obj: dict) -> "StanleyDecomposition":
         with malformed("certificate", obj):
             module = ModulePresentation.from_json(obj["module"])
-            spaces = tuple(
-                StanleySpace(as_degree(s["u"], module.n), frozenset(map(as_int, s["Z"])))
-                for s in obj["spaces"]
-            )
-        return cls(module, spaces)
+            spaces = []
+            for i, s in enumerate(obj["spaces"]):
+                with malformed(f"certificate space {i}", s):
+                    u, z = as_degree(s["u"], module.n), frozenset(map(as_int, s["Z"]))
+                    spaces.append(StanleySpace(u, z))
+        return cls(module, tuple(spaces))
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,8 @@ def run_sweep(
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            # a fork-started pool forks all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
                 results = dict(pool.map(_run_one, tasks))
         else:
             results = dict(map(_run_one, tasks))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON round-trips, tamper detection."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import stanley_lab
 from stanley_lab import ModulePresentation, MonomialIdeal, cli, homology_profile
+from stanley_lab.bounds import KINDS
 from stanley_lab.sdepth import DEFAULT_BUDGET
 
 CLI = [sys.executable, "-m", "stanley_lab"]
@@ -351,6 +353,71 @@ def test_bad_input_exits_2_with_a_short_message(tmp_path, args, text):
     assert b"Traceback" not in out.stderr
     assert out.stderr.startswith(b"input error")
     assert len(out.stderr) < 1000
+
+
+@pytest.mark.parametrize(
+    "args, text, field",
+    [
+        pytest.param(
+            ["verify"],
+            _spaces_certificate(3, [{"u": [0, 0, 0], "Z": []}] * 20_000 + [{"Z": []}]),
+            "space 20000 JSON: missing field 'u'",
+            id="20001-spaces-last-without-u",
+        ),
+        pytest.param(
+            ["verify"],
+            json.dumps({"module": {"n": 1, "lower_gens": [], "upper_gens": [[0]]}}),
+            "certificate JSON: missing field 'spaces'",
+            id="certificate-without-spaces",
+        ),
+        pytest.param(
+            ["verify"],
+            json.dumps({"module": {"n": 1, "lower_gens": []}, "spaces": []}),
+            "module JSON: missing field 'upper_gens'",
+            id="certificate-module-without-upper-gens",
+        ),
+        pytest.param(
+            ["sdepth", "--module"],
+            json.dumps({"n": 1, "lower_gens": []}),
+            "module JSON: missing field 'upper_gens'",
+            id="module-without-upper-gens",
+        ),
+    ],
+)
+def test_malformed_json_names_the_missing_field(tmp_path, args, text, field):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    out = subprocess.run(CLI + args + [str(path)], capture_output=True, env=ENV, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert field.encode() in out.stderr
+    assert len(out.stderr) < 1000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(
+            ["construct", "--graph", "path:3", "--k", "1", "--kind", "power", "--out"],
+            id="construct-out",
+        ),
+        pytest.param(["sdepth", "--graph", "path:3", "--k", "1", "--cert"], id="sdepth-cert"),
+    ],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_file_exits_2(tmp_path, args, target):
+    path = tmp_path / "nope" / "x.json" if target == "missing-directory" else tmp_path
+    out = run(*args, str(path))
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith(f"input error: cannot write JSON to {path}")
+
+
+def test_construct_kind_choices_are_the_module_kinds():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    construct = commands.choices["construct"]
+    (kind,) = (a for a in construct._actions if a.dest == "kind")
+    assert tuple(kind.choices) == KINDS
 
 
 def test_budget_defaults_to_the_built_in_budget():

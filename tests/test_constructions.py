@@ -21,7 +21,7 @@ from stanley_lab import (
     verify,
 )
 from stanley_lab import constructions
-from stanley_lab.bounds import module_for
+from stanley_lab.bounds import KINDS, module_for
 from stanley_lab.graphs import Graph, enumerate_trees, parse_graph, preset
 
 MULTI_COMPONENT = ("cycle:3+path:3", "path:3+path:2", "cycle:4+path:2")
@@ -177,6 +177,27 @@ def test_power_general_matches_engine_bound():
 def test_power_general_rejects_edgeless():
     with pytest.raises(InputError):
         decompose_power_general(Graph.make(3, []), 1)
+
+
+def test_decompose_names_one_generator_per_kind():
+    assert sorted(constructions.DECOMPOSE) == sorted(KINDS)
+
+
+@pytest.mark.parametrize(
+    "decompose, spec, k",
+    [
+        pytest.param(decompose_layer, "path:3", -1, id="layer"),
+        pytest.param(decompose_layer, "cycle:4+path:2", -1, id="layer-two-components"),
+        pytest.param(decompose_s_mod_power, "path:3", 0, id="s-mod-power"),
+        pytest.param(decompose_power_general, "path:3", 0, id="power"),
+        pytest.param(decompose_power_general, "cycle:3+path:3", 0, id="power-two-components"),
+        pytest.param(decompose_power_general, "cycle:4", -1, id="power-bipartite-non-tree"),
+        pytest.param(decompose_power_tree, "path:3", 0, id="power-tree"),
+    ],
+)
+def test_k_below_the_kind_minimum_is_rejected_by_module_for(decompose, spec, k):
+    with pytest.raises(InputError, match="needs k >="):
+        decompose(parse_graph(spec), k)
 
 
 def test_constructions_respect_exact_oracle():

@@ -255,6 +255,31 @@ def test_worker_pool_gives_the_same_rows():
     assert run_sweep(3, 1, jobs=2) == run_sweep(3, 1, jobs=1)
 
 
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (64, len(sweeps._SWEEPS))])
+def test_worker_pool_is_capped_at_the_claim_count(monkeypatch, jobs, workers):
+    """A fork-started pool forks every worker it may use; run in this process
+    with a stand-in pool, so no worker is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    assert run_sweep(2, 1, jobs=jobs) == run_sweep(2, 1)
+    assert sizes == [workers]
+
+
 @pytest.mark.parametrize("nmax", [0, 7])
 def test_nmax_out_of_range_is_rejected(nmax):
     with pytest.raises(InputError):
