@@ -9,13 +9,13 @@ treated as release-blocking by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .depth import depth_by_trung, depth_exact
 from .errors import InputError, UndefinedValueError
 from .graphs import Component, Graph
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
-from .stanley import ModulePresentation
+from .stanley import ModulePresentation, check_quotient_power
 
 KIND_S_MOD = "s-mod-power"
 KIND_POWER = "power"
@@ -30,8 +30,7 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE_EVIDENCE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     claim: str
     instance: dict
     bound: int | None
@@ -40,19 +39,12 @@ class BoundReport:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instance": self.instance,
-            "bound": self.bound,
-            "oracle": self.oracle,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
+        return self._asdict()
 
 
 def _check_power(k: int, kind: str) -> None:
-    if kind == KIND_S_MOD and k < 1:
-        raise InputError("S/I^k needs k >= 1")
+    if kind == KIND_S_MOD:
+        check_quotient_power(k)
     if kind == KIND_POWER and k < 1:
         raise InputError("I^k as a module needs k >= 1")
     if kind == KIND_LAYER and k < 0:
@@ -142,7 +134,7 @@ def _depth_with_source(
     graph: Graph, k: int, kind: str
 ) -> tuple[int, str, ModulePresentation | None]:
     """The depth, its source, and the module if the Koszul scan built it."""
-    shortcut = depth_by_trung(graph, k) if k >= 1 else None
+    shortcut = depth_by_trung(graph, k) if kind != KIND_LAYER else None
     if shortcut is not None and kind == KIND_S_MOD:
         return shortcut, "limit-depth-formula", None
     if shortcut is not None and kind == KIND_POWER and graph.has_edges():

@@ -4,9 +4,9 @@ Subcommands: analyze, construct, verify, sdepth, depth, certify, sweep,
 question.  Graphs are JSON files or presets (path:k, cycle:k, star:k,
 complete:k, joined with '+').  Exit codes: 0 success, 1 verification or
 claim failure, 2 input error (bad input, or an output file that cannot be
-written), 3 budget exceeded; a sweep whose failing rows are all undecided (a
-search stopped by its budget) exits 3.  Reports embed the tool version and
-the full invocation so certificates are reproducible artifacts.
+written), 3 budget exceeded or out of memory; a sweep whose failing rows are
+all undecided (a search stopped by its budget) exits 3.  Reports embed the
+tool version and the full invocation so certificates are reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -328,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:  # a resource limit, like a budget: no claim is made
+        print("out of memory: the input is too large for this process", file=sys.stderr)
         return EXIT_BUDGET
     except ContradictionError as exc:
         print(f"CLAIM FAILURE: {exc}", file=sys.stderr)

@@ -59,6 +59,7 @@ from .stanley import (
     StanleySpace,
     concat,
     pin,
+    shared_z,
     shift,
     tensor,
     verify,
@@ -163,7 +164,7 @@ def decompose_layer(
     comps = [c for c in graph.components() if c.edges]
     if not comps:
         # zero edge ideal and a nonzero layer: k = 0 and the module is the ring
-        space = StanleySpace((0,) * graph.n, frozenset(range(1, graph.n + 1)))
+        space = StanleySpace((0,) * graph.n, shared_z(frozenset(range(1, graph.n + 1))))
         return _checked(StanleyDecomposition(module, (space,)), "the ring as layer 0")
     # sub drops the isolated vertices but keeps the edges and n, so its module
     # is this one; the oracle counts the vertices off sub toward its target
@@ -229,7 +230,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     if tree.num_vertices == 2:
         (generator,) = module.upper.gens
         return StanleyDecomposition(
-            module, (StanleySpace(generator, frozenset(range(1, n + 1))),)
+            module, (StanleySpace(generator, shared_z(frozenset(range(1, n + 1)))),)
         )
     if k == 1:
         return _oracle_certificate(

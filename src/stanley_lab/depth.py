@@ -17,14 +17,13 @@ the answer is the characteristic-zero depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .errors import InputError, UndefinedValueError
+from .errors import UndefinedValueError
 from .graphs import Graph
 from .monomials import Box, Multidegree
-from .stanley import ModulePresentation
+from .stanley import ModulePresentation, check_quotient_power
 from .stanley import generator_corner as scan_corner  # homology lives inside this box
 
 
@@ -53,8 +52,7 @@ def rank_int(rows: list[list[int]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Koszul homology ranks per index: ``ranks`` sums them over the scan box,
     which holds all homology, and ``degrees`` maps each scanned multidegree
     with nonzero homology to its ranks, in lexicographic order.
@@ -143,8 +141,7 @@ def depth_exact(module: ModulePresentation) -> int:
 def depth_by_trung(graph: Graph, k: int) -> int | None:
     """Closed form for large powers: depth(S/I^k) equals the bipartite
     component count once k >= |V| - 1; below that threshold no claim is made."""
-    if k < 1:
-        raise InputError(f"power {k} must be positive")
+    check_quotient_power(k)
     if k >= graph.num_vertices - 1:
         return graph.bipartite_component_count()
     return None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from itertools import combinations, product as cartesian
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -39,8 +38,7 @@ class Component(NamedTuple):
         return len(self.edges) == len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     n: int
     edges: tuple[Edge, ...]
     vertices: frozenset[int]

@@ -9,10 +9,9 @@ operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, groupby, product as lattice_product
 from operator import add, le, mul, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InputError, as_int, malformed, quote
 
@@ -91,8 +90,7 @@ def _reduce(degrees: Iterable[Multidegree]) -> tuple[Multidegree, ...]:
     return tuple(sorted(kept))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """A monomial ideal in K[x_1..x_n], as its minimal generating set.
 
     The zero ideal has no generators; the unit ideal has the single

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as lattice_product
 from operator import eq
+from typing import NamedTuple
 
 from .errors import InputError, UndefinedValueError
 from .monomials import Box, Multidegree
@@ -37,6 +38,7 @@ from .stanley import (
     StanleyDecomposition,
     StanleySpace,
     generator_corner,
+    shared_z,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -48,8 +50,7 @@ def _grlex(a: Multidegree) -> tuple:
     return (sum(a), a)
 
 
-@dataclass(frozen=True)
-class CharacteristicPoset:
+class CharacteristicPoset(NamedTuple):
     """Elements in degree-lexicographic order; ``ranks[i]`` is rho of element
     i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i."""
 
@@ -90,6 +91,7 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     return CharacteristicPoset(module.n, g, elements, ranks, tuple(up), tuple(down))
 
 
+# A dataclass, not a NamedTuple: perfbench/test_perfbench.py rebuilds it with dataclasses.replace.
 @dataclass(frozen=True)
 class IntervalPartition:
     intervals: tuple[tuple[Multidegree, Multidegree], ...]
@@ -98,8 +100,7 @@ class IntervalPartition:
         return min(poset.rho(b) for _, b in self.intervals)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # "found" | "none" | "exceeded"
     partition: IntervalPartition | None
     nodes: int
@@ -168,6 +169,7 @@ def search_partition(
     return SearchOutcome("found", IntervalPartition(chosen), nodes)
 
 
+# A dataclass, not a NamedTuple: perfbench/test_perfbench.py rebuilds it with dataclasses.replace.
 @dataclass(frozen=True)
 class SdepthResult:
     value: int
@@ -218,9 +220,9 @@ def partition_to_decomposition(
     """
     spaces = []
     for a, b in partition.intervals:
-        zvars = frozenset(
+        zvars = shared_z(frozenset(
             j + 1 for j in range(poset.n) if b[j] == poset.g[j]
-        )
+        ))
         ranges = [
             range(a[j], a[j] + 1) if j + 1 in zvars else range(a[j], b[j] + 1)
             for j in range(poset.n)

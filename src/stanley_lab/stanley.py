@@ -7,13 +7,14 @@ off Z and >= u on Z.  Decompositions are certificates: ``verify`` checks
 disjoint exact coverage over a finite box that is provably sufficient, because
 every membership predicate involved is constant above a per-coordinate
 threshold, and the box corner exceeds all thresholds by one.
+Spaces share their Z sets: each new Z goes through ``shared_z``, which keeps
+one stored copy per distinct set, at most 2^n of them over n variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, as_int, malformed, quote
 from .monomials import (
@@ -27,8 +28,7 @@ from .monomials import (
 )
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(NamedTuple):
     """The multigraded module upper/lower for monomial ideals lower <= upper.
 
     Covers all shapes used here: S/I is (lower=I, upper=unit), an ideal I is
@@ -91,6 +91,12 @@ class ModulePresentation:
             )
 
 
+def check_quotient_power(k: int) -> None:
+    """Reject S/I^k for k < 1, where it is the zero module or undefined."""
+    if k < 1:
+        raise InputError("S/I^k needs k >= 1")
+
+
 def generator_corner(module: ModulePresentation) -> Multidegree:
     """Componentwise maximum generator exponent of both ideals."""
     return tuple(
@@ -103,8 +109,16 @@ def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multi
     return members_in_box(module.upper, corner) - members_in_box(module.lower, corner)
 
 
-@dataclass(frozen=True)
-class StanleySpace:
+_Z_SETS: dict[frozenset[int], frozenset[int]] = {}  # each Z set in use, keyed by itself
+
+
+def shared_z(z: frozenset[int]) -> frozenset[int]:
+    """The stored copy of the Z set equal to z, stored first if new.  Z sets
+    are subsets of 1..n, so the table holds at most 2^n sets for n variables."""
+    return _Z_SETS.setdefault(z, z)
+
+
+class StanleySpace(NamedTuple):
     """u * K[Z]: multidegrees equal to u outside Z and >= u on Z."""
 
     u: Multidegree
@@ -114,15 +128,8 @@ class StanleySpace:
     def dim(self) -> int:
         return len(self.Z)
 
-    def covers(self, a: Multidegree) -> bool:
-        return all(
-            x >= y if j + 1 in self.Z else x == y
-            for j, (x, y) in enumerate(zip(a, self.u))
-        )
 
-
-@dataclass(frozen=True)
-class StanleyDecomposition:
+class StanleyDecomposition(NamedTuple):
     module: ModulePresentation
     spaces: tuple[StanleySpace, ...]
 
@@ -151,23 +158,19 @@ class StanleyDecomposition:
                 with malformed(f"certificate space {i}", s):
                     u, z = as_degree(s["u"], module.n), frozenset(map(as_int, s["Z"]))
                     spaces.append(StanleySpace(u, z))
-        return cls(module, tuple(spaces))
+        _check_spaces(spaces, module.n)  # only Z sets inside 1..n are shared
+        return cls(module, tuple(StanleySpace(s.u, shared_z(s.Z)) for s in spaces))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     valid: bool
     sdepth: int | None
     witness: Multidegree | None = None
     failure: str | None = None  # "outside-module" | "double-covered" | "uncovered"
 
     def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "sdepth": self.sdepth,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "failure": self.failure,
-        }
+        witness = list(self.witness) if self.witness is not None else None
+        return {**self._asdict(), "witness": witness}
 
 
 def _verification_box(dec: StanleyDecomposition) -> Multidegree:
@@ -259,8 +262,10 @@ def tensor(
     overlap = d1.variables() & d2.variables()
     if overlap:
         raise InputError(f"tensor factors both pin variables {sorted(overlap)}")
+    zs = {s.Z for s in d2.spaces}
+    meet = {(z1, z2): shared_z(z1 & z2) for z1 in {s.Z for s in d1.spaces} for z2 in zs}
     spaces = tuple(
-        StanleySpace(deg_add(a.u, b.u), a.Z & b.Z)
+        StanleySpace(deg_add(a.u, b.u), meet[a.Z, b.Z])
         for a in d1.spaces
         for b in d2.spaces
     )
@@ -284,7 +289,8 @@ def pin(
     clash = ws & dec.variables()
     if clash:
         raise InputError(f"cannot pin variables {sorted(clash)} that are not free")
-    spaces = tuple(StanleySpace(s.u, s.Z - ws) for s in dec.spaces)
+    cut = {z: shared_z(z - ws) for z in {s.Z for s in dec.spaces}}
+    spaces = tuple(StanleySpace(s.u, cut[s.Z]) for s in dec.spaces)
     return StanleyDecomposition(module, spaces)
 
 

@@ -431,3 +431,20 @@ def test_graph_file_input(tmp_path):
     out = run("analyze", str(gpath))
     assert out.returncode == 0
     assert "p = 1" in out.stdout
+
+
+def test_power_zero_is_worded_alike_by_depth_and_certify(capsys):
+    assert cli.main(["depth", "--trung", "path:3", "0"]) == cli.EXIT_INPUT
+    from_depth = capsys.readouterr().err
+    assert cli.main(["certify", "--graph", "path:3", "--k", "0", "--kind", "s-mod-power"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == from_depth == "input error: S/I^k needs k >= 1\n"
+
+
+def test_out_of_memory_exits_on_budget_with_one_line(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_analyze", exhausted)
+    assert cli.main(["analyze", "path:3"]) == cli.EXIT_BUDGET == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory") and err.count("\n") == 1

@@ -1,5 +1,6 @@
 """The exact Stanley depth oracle: poset construction, search, certificates."""
 
+import dataclasses
 import sys
 from collections import Counter
 from functools import cache
@@ -351,3 +352,9 @@ def test_full_ring_sdepth_is_n():
     ring = ModulePresentation.quotient_ring(MonomialIdeal.zero(3))
     result = sdepth_exact(ring)
     assert result.value == 3 and result.exact
+
+
+def test_partition_and_result_stay_dataclasses():
+    # perfbench/test_perfbench.py rebuilds both with dataclasses.replace
+    assert dataclasses.is_dataclass(IntervalPartition)
+    assert dataclasses.is_dataclass(sdepth.SdepthResult)

@@ -409,3 +409,41 @@ def test_certificate_json_roundtrip():
     assert obj["spaces"][0] == {"u": [0, 0], "Z": [1]}
     again = StanleyDecomposition.from_json(obj)
     assert again == dec
+
+
+def distinct_z_counts(dec):
+    """(stored Z objects, distinct Z values) over the spaces of dec."""
+    return len({id(s.Z) for s in dec.spaces}), len({s.Z for s in dec.spaces})
+
+
+def test_spaces_share_their_z_sets():
+    tree = decompose_power_tree(enumerate_trees(6)[0], 3)
+    objects, values = distinct_z_counts(tree)
+    assert objects == values < len(tree.spaces)
+    again = StanleyDecomposition.from_json(tree.to_json())
+    assert all(a.Z is b.Z for a, b in zip(again.spaces, tree.spaces))
+    # two trees on their own variables of a 6-variable ring, each free in the other
+    left = decompose_power_tree(Graph.make(6, [(1, 2), (2, 3)], {1, 2, 3}), 2)
+    right = decompose_power_tree(Graph.make(6, [(4, 5), (5, 6)], {4, 5, 6}), 2)
+    lower = left.module.lower * right.module.upper + left.module.upper * right.module.lower
+    product_module = ModulePresentation.make(6, lower, left.module.upper * right.module.upper)
+    combined = tensor(left, right, product_module)
+    upper = left.module.upper
+    pinned = pin(left, (4, 5), ModulePresentation.make(
+        6, MonomialIdeal.make(6, [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)]) * upper, upper
+    ))
+    for dec in (combined, pinned):
+        assert verify(dec).valid
+        objects, values = distinct_z_counts(dec)
+        assert objects == values < len(dec.spaces)
+
+
+def test_equal_records_built_apart_compare_and_hash_equal():
+    graphs = Graph.make(3, [(1, 2), (2, 3)]), Graph.make(3, [[3, 2], [2, 1]], [3, 2, 1])
+    modules = (
+        ModulePresentation.quotient_ring(P3),
+        ModulePresentation.make(3, MonomialIdeal.make(3, [(0, 1, 1), (1, 1, 1), (1, 1, 0)]),
+                                MonomialIdeal.unit(3)),
+    )
+    for a, b in (graphs, modules):
+        assert a is not b and a == b and hash(a) == hash(b)
