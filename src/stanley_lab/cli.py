@@ -162,7 +162,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
     lines = []
     if args.module:
         module = ModulePresentation.from_json(load_json(args.module))
-        profile = homology_profile(module)
+        profile = homology_profile(module, degrees=args.debug)
         result["depth"] = profile.depth
         result["homology_ranks"] = list(profile.ranks)
         lines.append(f"depth = {profile.depth}")

@@ -55,7 +55,8 @@ def rank_int(rows: list[list[int]]) -> int:
 class HomologyProfile(NamedTuple):
     """Koszul homology ranks per index: ``ranks`` sums them over the scan box,
     which holds all homology, and ``degrees`` maps each scanned multidegree
-    with nonzero homology to its ranks, in lexicographic order.
+    with nonzero homology to its ranks, in lexicographic order; it is empty
+    unless ``homology_profile`` was asked for it.
     """
 
     n: int
@@ -102,8 +103,9 @@ def _family_ranks(n: int, family: int) -> tuple[int, ...]:
     return tuple(len(chains[s]) - bounds[s] - bounds[s + 1] for s in range(n + 1))
 
 
-def homology_profile(module: ModulePresentation) -> HomologyProfile:
-    """Koszul homology ranks of each multidegree in the scan box, and their sums."""
+def homology_profile(module: ModulePresentation, degrees: bool = True) -> HomologyProfile:
+    """Koszul homology ranks summed over the scan box, and with ``degrees``
+    those of each multidegree; without it ``degrees`` is empty."""
     if module.is_zero():
         raise UndefinedValueError("the zero module has no depth")
     n = module.n
@@ -122,20 +124,20 @@ def homology_profile(module: ModulePresentation) -> HomologyProfile:
                 split.append((points ^ inside, family))
         classes = split
     ranks = [0] * (n + 1)
-    degrees = []
+    table = []
     for points, family in classes:
         homology = _family_ranks(n, family)
         if any(homology):
             ranks = [r + points.bit_count() * h for r, h in zip(ranks, homology)]
-            while points:  # classes are sparse: visit their bits, not the box
-                degrees.append((box.lowest(points), homology))
+            while degrees and points:  # classes are sparse: visit their bits, not the box
+                table.append((box.lowest(points), homology))
                 points &= points - 1
-    degrees.sort()
-    return HomologyProfile(n, tuple(ranks), dict(degrees))
+    table.sort()
+    return HomologyProfile(n, tuple(ranks), dict(table))
 
 
 def depth_exact(module: ModulePresentation) -> int:
-    return homology_profile(module).depth
+    return homology_profile(module, degrees=False).depth
 
 
 def depth_by_trung(graph: Graph, k: int) -> int | None:

@@ -6,13 +6,15 @@ graph and of its vertex-deleted subgraphs live in the same polynomial ring.
 the ambient n and the remaining labels.
 
 ``Graph.components()`` classifies every connected component once, in one
-breadth-first forest; p and every pivot choice read its ``Component`` records.
+breadth-first forest, memoized per graph value; p and every pivot choice read
+its ``Component`` records.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from functools import lru_cache
 from itertools import combinations, product as cartesian
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -91,13 +93,15 @@ class Graph(NamedTuple):
             adj[j].append(i)
         return adj
 
+    @lru_cache(maxsize=1024)
     def components(self) -> tuple[Component, ...]:
         """The connected components, listed by smallest vertex; isolated
         vertices are singleton components.
 
         One breadth-first forest, each tree rooted at its least vertex, fills
         every record: an edge joining two vertices whose distances from the
-        root have equal parity closes an odd cycle.
+        root have equal parity closes an odd cycle.  Memoized by graph value:
+        one verdict reads the records of its graph several times.
         """
         adj = self._adjacency()
         where: dict[int, tuple[int, int]] = {}  # vertex -> (tree, distance parity)
@@ -144,14 +148,15 @@ class Graph(NamedTuple):
         return Graph(self.n, edges, verts)
 
     def edge_ideal(self) -> MonomialIdeal:
-        """The ideal generated by x_i x_j over the edges; zero if edgeless."""
+        """The ideal generated by x_i x_j over the edges; zero if edgeless.
+        Distinct squarefree quadrics are already a minimal generating set."""
         gens = []
         for i, j in self.edges:
             g = [0] * self.n
             g[i - 1] = 1
             g[j - 1] = 1
             gens.append(tuple(g))
-        return MonomialIdeal.make(self.n, gens)
+        return MonomialIdeal(self.n, tuple(sorted(gens)))
 
     def to_json(self) -> dict:
         obj: dict = {"n": self.n, "edges": [list(e) for e in self.edges]}

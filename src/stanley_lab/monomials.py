@@ -80,9 +80,12 @@ def _reduce(degrees: Iterable[Multidegree]) -> tuple[Multidegree, ...]:
 
     A proper divisor has strictly smaller total degree, so each degree is
     checked only against kept degrees of smaller total degree: none for an
-    equigenerated set, such as any power of an edge ideal.
+    equigenerated set, such as any product of powers of an edge ideal,
+    which is returned sorted once its least and largest total degrees agree.
     """
     degs = sorted(set(degrees), key=sum)
+    if not degs or sum(degs[0]) == sum(degs[-1]):
+        return tuple(sorted(degs))
     kept: list[Multidegree] = []
     for _, layer in groupby(degs, key=sum):
         # the comprehension reads kept before this layer is added to it

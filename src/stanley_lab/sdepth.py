@@ -31,8 +31,8 @@ from itertools import product as lattice_product
 from operator import eq
 from typing import NamedTuple
 
-from .errors import InputError, UndefinedValueError
-from .monomials import Box, Multidegree
+from .errors import BudgetExceededError, InputError, UndefinedValueError
+from .monomials import BOX_POINT_CAP, Box, Multidegree
 from .stanley import (
     ModulePresentation,
     StanleyDecomposition,
@@ -44,6 +44,10 @@ from .stanley import (
 DEFAULT_BUDGET = 1_000_000
 
 _MEMO_CAP = 2_000_000
+
+# Most closure bits a poset may take: m elements need m^2 bits for ``up``
+# (and as many for ``down``), so m is at most 32,768.
+POSET_BIT_CAP = 64 * BOX_POINT_CAP
 
 
 def _grlex(a: Multidegree) -> tuple:
@@ -72,6 +76,9 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     g = generator_corner(module)
     box = Box(g)
     basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    m = basis.bit_count()
+    if m * m > POSET_BIT_CAP:  # fail before any closure is built
+        raise BudgetExceededError(f"poset of {m} elements needs over {POSET_BIT_CAP} closure bits")
     elements = tuple(sorted(box.points(basis), key=_grlex))
     where = {box.index(e): i for i, e in enumerate(elements)}
     # steps[i]: the elements e_i + e_j, one box stride above e_i

@@ -52,19 +52,19 @@ class ModulePresentation(NamedTuple):
 
     @classmethod
     def quotient_ring(cls, ideal: MonomialIdeal) -> "ModulePresentation":
-        """S/I."""
-        return cls.make(ideal.n, ideal, MonomialIdeal.unit(ideal.n))
+        """S/I; I lies in the unit ideal S by construction."""
+        return cls(ideal.n, ideal, MonomialIdeal.unit(ideal.n))
 
     @classmethod
     def of_ideal(cls, ideal: MonomialIdeal) -> "ModulePresentation":
-        """I as a module."""
-        return cls.make(ideal.n, MonomialIdeal.zero(ideal.n), ideal)
+        """I as a module; the zero ideal lies in I by construction."""
+        return cls(ideal.n, MonomialIdeal.zero(ideal.n), ideal)
 
     @classmethod
     def power_layer(cls, ideal: MonomialIdeal, k: int) -> "ModulePresentation":
-        """I^k/I^{k+1}, with I^{k+1} taken as I^k * I."""
+        """I^k/I^{k+1}, with I^{k+1} taken as I^k * I: in I^k by construction."""
         power = ideal**k
-        return cls.make(ideal.n, power * ideal, power)
+        return cls(ideal.n, power * ideal, power)
 
     def is_zero(self) -> bool:
         return self.upper.subset_of(self.lower)

@@ -206,3 +206,13 @@ def test_reports_are_serializable():
     assert obj["claim"] == "stanley-inequality"
     assert obj["verdict"] == HOLDS
     assert "graph" in obj["instance"]
+
+
+def test_power_verdict_classifies_a_fresh_graph_once():
+    Graph.components.cache_clear()
+    graph = preset("path:3")
+    before = Graph.components.cache_info()
+    report = stanley_verdict(KIND_POWER, graph, 2)
+    after = Graph.components.cache_info()
+    assert report.verdict == HOLDS
+    assert after.misses - before.misses == 1

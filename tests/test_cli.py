@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -448,3 +449,25 @@ def test_out_of_memory_exits_on_budget_with_one_line(monkeypatch, capsys):
     assert cli.main(["analyze", "path:3"]) == cli.EXIT_BUDGET == 3
     err = capsys.readouterr().err
     assert err.startswith("out of memory") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,module", [
+    (["--graph", "path:3", "--k", "60", "--kind", "s-mod-power"], None),
+    (["--module"], {"n": 3, "lower_gens": [[60, 0, 0], [0, 60, 0], [0, 0, 60]],
+                    "upper_gens": [[0, 0, 0]]}),
+    (["--module"], {"n": 5, "lower_gens": [[20 * (i == j) for j in range(5)] for i in range(5)],
+                    "upper_gens": [[0] * 5]}),
+])
+def test_oversized_poset_exits_on_budget_within_a_second(tmp_path, capsys, args, module):
+    if module is not None:
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(module))
+        args = args + [str(path)]
+    start = time.perf_counter()
+    code = cli.main(["sdepth", *args])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_BUDGET == 3
+    assert err.startswith("budget exceeded: poset of") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert elapsed < 1.0

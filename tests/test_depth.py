@@ -20,7 +20,7 @@ from stanley_lab import (
 from stanley_lab.bounds import module_for
 from stanley_lab.depth import _family_ranks, scan_corner
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
-from stanley_lab.monomials import iter_box
+from stanley_lab.monomials import Box, iter_box
 from stanley_lab.stanley import basis_in_box
 
 from helpers import random_presentations
@@ -262,3 +262,40 @@ def test_profile_memory_on_cycle6_fifth_power():
 def test_limit_depth_reach(spec, k):
     graph = preset(spec)
     assert depth_exact(module_for(graph, k, "s-mod-power")) == depth_by_trung(graph, k)
+
+
+def _small_graph_modules():
+    """Every nonzero S/I^k, I^k and I^k/I^{k+1} of a labeled graph on at most
+    4 vertices, k <= 3."""
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            for k in range(1, 4):
+                yield module_for(graph, k, "s-mod-power")
+            if graph.has_edges():
+                for k in range(1, 4):
+                    yield module_for(graph, k, "power")
+                for k in range(4):
+                    yield module_for(graph, k, "layer")
+
+
+def test_ranks_only_profile_matches_the_full_profile():
+    checked = 0
+    for module in _small_graph_modules():
+        full = homology_profile(module)
+        ranks_only = homology_profile(module, degrees=False)
+        assert ranks_only.ranks == full.ranks
+        assert ranks_only.degrees == {}
+        checked += 1
+    assert checked == 75 * 3 + 71 * 7
+
+
+def test_depth_exact_reads_no_degree_table(monkeypatch):
+    def no_lowest(self, bits):
+        raise AssertionError("depth_exact built the per-degree table")
+
+    module = module_for(preset("cycle:3"), 2, "s-mod-power")
+    expected = depth_exact(module)
+    monkeypatch.setattr(Box, "lowest", no_lowest)
+    with pytest.raises(AssertionError, match="per-degree table"):
+        homology_profile(module)  # the full profile does read it
+    assert depth_exact(module) == expected == 0

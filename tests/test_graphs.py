@@ -1,10 +1,10 @@
 """Graph invariants: components, bipartiteness, trees, deletion, edge ideals."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from stanley_lab import Graph, InputError, disjoint_union, parse_graph, preset
+from stanley_lab import Graph, InputError, MonomialIdeal, disjoint_union, parse_graph, preset
 from stanley_lab.graphs import (
     Component,
     _prufer_to_edges,
@@ -248,3 +248,32 @@ def test_search_invariants_match_networkx():
     ):
         ref = nx.Graph(graph.edges)
         assert graph.bipartite_component_count() == bipartite_count(ref) == 1
+
+
+def _graphs_and_deletions(nmax):
+    """Every labeled graph on at most nmax vertices, and each of its
+    vertex-deleted subgraphs."""
+    for n in range(1, nmax + 1):
+        for graph in enumerate_labeled_graphs(n):
+            for size in range(n + 1):
+                for gone in combinations(range(1, n + 1), size):
+                    yield graph.delete_vertices(gone)
+
+
+def test_edge_ideal_equals_the_validated_make():
+    checked = 0
+    for graph in _graphs_and_deletions(5):
+        gens = [tuple(int(v in e) for v in range(1, graph.n + 1)) for e in graph.edges]
+        assert graph.edge_ideal() == MonomialIdeal.make(graph.n, gens)
+        checked += 1
+    assert checked > 30_000
+
+
+def test_components_memo_matches_the_unmemoized_records():
+    assert Graph.components.cache_info().maxsize is not None
+    for n in range(1, 6):
+        for graph in enumerate_labeled_graphs(n):
+            assert graph.components() == Graph.components.__wrapped__(graph)
+    # a graph equal to a memoized one, built apart, reads the same records
+    rebuilt = Graph.make(4, [(3, 4), (1, 2)])
+    assert rebuilt.components() is Graph.make(4, [(1, 2), (3, 4)]).components()

@@ -244,3 +244,24 @@ def test_filtration_intersection_identity(pair, k):
         for t in range(1, l):
             partial = partial + mixed[t]
         assert mixed[l].intersect(partial) == (left**l) * (right ** (k - l + 1))
+
+
+@st.composite
+def equigenerated(draw, n=4):
+    """Raw degrees over n variables, all of one total degree, duplicates allowed."""
+    total = draw(st.integers(0, 4))
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        gens.append([b - a for a, b in zip([0] + cuts, cuts + [total])])
+    return gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(equigenerated())
+@example([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]])
+def test_minimalize_of_equigenerated_degrees_keeps_each_once(gens):
+    # no degree divides another of the same total degree
+    degs = {tuple(g) for g in gens}
+    kept = [d for d in degs if not any(e != d and divides(e, d) for e in degs)]
+    assert minimalize(gens, 4) == tuple(sorted(kept)) == tuple(sorted(degs))

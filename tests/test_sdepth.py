@@ -358,3 +358,16 @@ def test_partition_and_result_stay_dataclasses():
     # perfbench/test_perfbench.py rebuilds both with dataclasses.replace
     assert dataclasses.is_dataclass(IntervalPartition)
     assert dataclasses.is_dataclass(sdepth.SdepthResult)
+
+
+def test_poset_over_the_closure_bit_cap_fails_before_any_closure(monkeypatch):
+    module = ModulePresentation.quotient_ring(MonomialIdeal.make(1, [(4,)]))  # 4 elements
+    monkeypatch.setattr(sdepth, "POSET_BIT_CAP", 16)
+    assert len(build_poset(module).elements) == 4
+    monkeypatch.setattr(sdepth, "POSET_BIT_CAP", 15)
+    with pytest.raises(BudgetExceededError, match="poset of 4 elements"):
+        build_poset(module)
+
+
+def test_poset_cap_keeps_the_largest_posets_in_use():
+    assert 11_833**2 < sdepth.POSET_BIT_CAP < 32_769**2

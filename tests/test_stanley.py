@@ -25,6 +25,7 @@ from stanley_lab import (
     tensor,
     verify,
 )
+from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
 from stanley_lab.stanley import _verification_box
 
@@ -447,3 +448,20 @@ def test_equal_records_built_apart_compare_and_hash_equal():
     )
     for a, b in (graphs, modules):
         assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_built_in_presentations_equal_their_validated_make_forms():
+    # quotient_ring, of_ideal and power_layer skip the inclusion scan of make
+    make = ModulePresentation.make
+    checked = 0
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            ideal = graph.edge_ideal()
+            unit, zero = MonomialIdeal.unit(n), MonomialIdeal.zero(n)
+            for k in range(4):
+                power, next_power = ideal**k, ideal ** (k + 1)
+                assert ModulePresentation.quotient_ring(power) == make(n, power, unit)
+                assert ModulePresentation.of_ideal(power) == make(n, zero, power)
+                assert ModulePresentation.power_layer(ideal, k) == make(n, next_power, power)
+                checked += 1
+    assert checked == 4 * 75
