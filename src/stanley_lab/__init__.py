@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .bounds import (
     BoundReport,
     analytic_spread_edge,
+    depth_by_trung,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
@@ -26,7 +27,6 @@ from .constructions import (
 )
 from .depth import (
     HomologyProfile,
-    depth_by_trung,
     depth_exact,
     homology_profile,
     rank_int,
@@ -54,7 +54,6 @@ from .stanley import (
     StanleyDecomposition,
     StanleySpace,
     VerificationReport,
-    basis_in_box,
     concat,
     pin,
     shift,

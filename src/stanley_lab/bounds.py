@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .depth import depth_by_trung, depth_exact
+from .depth import depth_exact
 from .errors import InputError, UndefinedValueError
 from .graphs import Component, Graph
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
-from .stanley import ModulePresentation, check_quotient_power
+from .stanley import ModulePresentation
 
 KIND_S_MOD = "s-mod-power"
 KIND_POWER = "power"
@@ -43,8 +43,8 @@ class BoundReport(NamedTuple):
 
 
 def _check_power(k: int, kind: str) -> None:
-    if kind == KIND_S_MOD:
-        check_quotient_power(k)
+    if kind == KIND_S_MOD and k < 1:
+        raise InputError("S/I^k needs k >= 1")
     if kind == KIND_POWER and k < 1:
         raise InputError("I^k as a module needs k >= 1")
     if kind == KIND_LAYER and k < 0:
@@ -92,6 +92,15 @@ def lower_sdepth_s_mod_power(graph: Graph) -> int:
     covers that conjecture.
     """
     return graph.bipartite_component_count()
+
+
+def depth_by_trung(graph: Graph, k: int) -> int | None:
+    """Closed form for large powers: depth(S/I^k) equals the bipartite
+    component count once k >= |V| - 1; below that threshold no claim is made."""
+    _check_power(k, KIND_S_MOD)
+    if k >= graph.num_vertices - 1:
+        return graph.bipartite_component_count()
+    return None
 
 
 def _lifts(comp: Component) -> bool:

@@ -22,11 +22,12 @@ from .bounds import (
     KIND_S_MOD,
     KINDS,
     analytic_spread_edge,
+    depth_by_trung,
     module_for,
     stanley_verdict,
 )
 from .constructions import DECOMPOSE
-from .depth import depth_by_trung, homology_profile
+from .depth import homology_profile
 from .errors import (
     BudgetExceededError,
     ContradictionError,
@@ -97,15 +98,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
+    # DECOMPOSE verifies what it returns, save the empty (trivially valid) zero layer
     dec = DECOMPOSE[args.kind](graph, args.k, args.budget)
-    report = verify(dec)
     cert = dec.to_json()
     if args.out:
         write_json(args.out, cert)
-    result = {"certificate": cert, "sdepth": report.sdepth, "spaces": len(dec.spaces)}
+    result = {"certificate": cert, "sdepth": dec.sdepth(), "spaces": len(dec.spaces)}
     lines = [
         f"constructed {args.kind} certificate: {len(dec.spaces)} spaces, "
-        f"sdepth {report.sdepth}"
+        f"sdepth {dec.sdepth()}"
         + (f", written to {args.out}" if args.out else "")
     ]
     _emit(args, result, lines)

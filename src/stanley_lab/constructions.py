@@ -42,7 +42,7 @@ from contextvars import ContextVar
 from functools import wraps
 from typing import Iterable
 
-from .bounds import KIND_LAYER, KIND_POWER, KIND_S_MOD, module_for, pivot_component
+from .bounds import KIND_LAYER, KIND_POWER, KIND_S_MOD, _module_is_zero, module_for, pivot_component
 from .errors import BudgetExceededError, ContradictionError, InputError
 from .graphs import Component, Graph
 from .monomials import MonomialIdeal, deg_add
@@ -159,7 +159,7 @@ def decompose_layer(
 ) -> StanleyDecomposition:
     """A verified decomposition of I^k/I^{k+1} with sdepth >= p (k >= 0)."""
     module = module_for(graph, k, KIND_LAYER)
-    if module.is_zero():
+    if _module_is_zero(graph, k, KIND_LAYER):
         return StanleyDecomposition(module, ())
     comps = [c for c in graph.components() if c.edges]
     if not comps:
@@ -238,8 +238,9 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
             "squarefree ideals generated in one degree reach one above "
             "their co-spread",
         )
-    leaf = tree.find_leaf()
-    stem = min(tree.neighbors(leaf))
+    adj = tree.adjacency()
+    leaf = min(v for v, ws in adj.items() if len(ws) == 1)
+    (stem,) = adj[leaf]
     leaf_shift = tuple(int(v == leaf) for v in range(1, n + 1))
     stem_shift = tuple(int(v == stem) for v in range(1, n + 1))
     leaf_var = MonomialIdeal.make(n, [leaf_shift])

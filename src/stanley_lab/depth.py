@@ -1,4 +1,4 @@
-"""Exact depth via multigraded Koszul homology, plus the large-power shortcut.
+"""Exact depth via multigraded Koszul homology.
 
 depth(M) = n - max{ i : H_i(x_1..x_n; M) != 0 }.  For M = J/I with monomial
 ideals the Koszul complex splits by multidegree, and all homology lies in the
@@ -21,9 +21,8 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .errors import UndefinedValueError
-from .graphs import Graph
 from .monomials import Box, Multidegree
-from .stanley import ModulePresentation, check_quotient_power
+from .stanley import ModulePresentation
 from .stanley import generator_corner as scan_corner  # homology lives inside this box
 
 
@@ -106,11 +105,11 @@ def _family_ranks(n: int, family: int) -> tuple[int, ...]:
 def homology_profile(module: ModulePresentation, degrees: bool = True) -> HomologyProfile:
     """Koszul homology ranks summed over the scan box, and with ``degrees``
     those of each multidegree; without it ``degrees`` is empty."""
-    if module.is_zero():
-        raise UndefinedValueError("the zero module has no depth")
     n = module.n
     box = Box(scan_corner(module))
     basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    if not basis:
+        raise UndefinedValueError("the zero module has no depth")
     # (points, family) pairs: bit F of the family is set iff a - e_F is in
     # the basis, for every point a of the class
     classes = [((1 << box.size) - 1, 0)]
@@ -139,11 +138,3 @@ def homology_profile(module: ModulePresentation, degrees: bool = True) -> Homolo
 def depth_exact(module: ModulePresentation) -> int:
     return homology_profile(module, degrees=False).depth
 
-
-def depth_by_trung(graph: Graph, k: int) -> int | None:
-    """Closed form for large powers: depth(S/I^k) equals the bipartite
-    component count once k >= |V| - 1; below that threshold no claim is made."""
-    check_quotient_power(k)
-    if k >= graph.num_vertices - 1:
-        return graph.bipartite_component_count()
-    return None

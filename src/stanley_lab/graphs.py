@@ -78,14 +78,7 @@ class Graph(NamedTuple):
     def has_edges(self) -> bool:
         return bool(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self.vertices:
-            raise InputError(f"vertex {v} is not in the graph")
-        return frozenset(
-            j if i == v else i for i, j in self.edges if v in (i, j)
-        )
-
-    def _adjacency(self) -> dict[int, list[int]]:
+    def adjacency(self) -> dict[int, list[int]]:
         """Neighbor lists of every vertex."""
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for i, j in self.edges:
@@ -103,7 +96,7 @@ class Graph(NamedTuple):
         root have equal parity closes an odd cycle.  Memoized by graph value:
         one verdict reads the records of its graph several times.
         """
-        adj = self._adjacency()
+        adj = self.adjacency()
         where: dict[int, tuple[int, int]] = {}  # vertex -> (tree, distance parity)
         trees: list[list[int]] = []
         for root in sorted(self.vertices):
@@ -130,15 +123,6 @@ class Graph(NamedTuple):
     def bipartite_component_count(self) -> int:
         """The invariant p: number of connected components with no odd cycle."""
         return sum(c.bipartite for c in self.components())
-
-    def find_leaf(self) -> int | None:
-        """Smallest vertex with exactly one neighbor, if any."""
-        degree: dict[int, int] = {v: 0 for v in self.vertices}
-        for i, j in self.edges:
-            degree[i] += 1
-            degree[j] += 1
-        leaves = [v for v, d in degree.items() if d == 1]
-        return min(leaves) if leaves else None
 
     def delete_vertices(self, remove: Iterable[int]) -> "Graph":
         """Induced graph on the remaining labels; the ambient n is retained."""
@@ -251,7 +235,7 @@ def canonical_tree_form(g: Graph) -> str:
     isomorphism preserves.  The AHU code of a rooted tree (Aho-Hopcroft-Ullman)
     is "(" + the sorted codes of the child subtrees + ")".
     """
-    adj = g._adjacency()
+    adj = g.adjacency()
     if len(g.edges) != len(adj) - 1:
         raise InputError(f"not a tree: {len(adj)} vertices and {len(g.edges)} edges")
     degree = {v: len(ws) for v, ws in adj.items()}

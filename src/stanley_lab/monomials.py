@@ -120,9 +120,6 @@ class MonomialIdeal(NamedTuple):
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit(self) -> bool:
-        return self.gens == ((0,) * self.n,)
-
     def _check_ambient(self, other: "MonomialIdeal") -> None:
         if self.n != other.n:
             raise InputError(f"ambient mismatch: {self.n} vs {other.n}")
@@ -271,6 +268,7 @@ class Box:
         return bits
 
 
+# Unread in the library: tests read it, and perfbench/tracing.py wraps it.
 def members_in_box(ideal: MonomialIdeal, corner: Multidegree) -> set[Multidegree]:
     """All multidegrees a <= corner with x^a in the ideal: the in-box
     generators closed upward by ``Box.up``, sum(c_j) shift-and-mask steps on

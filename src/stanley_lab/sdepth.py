@@ -71,11 +71,11 @@ class CharacteristicPoset(NamedTuple):
 
 
 def build_poset(module: ModulePresentation) -> CharacteristicPoset:
-    if module.is_zero():
-        raise UndefinedValueError("the zero module has no Stanley depth")
     g = generator_corner(module)
     box = Box(g)
     basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    if not basis:
+        raise UndefinedValueError("the zero module has no Stanley depth")
     m = basis.bit_count()
     if m * m > POSET_BIT_CAP:  # fail before any closure is built
         raise BudgetExceededError(f"poset of {m} elements needs over {POSET_BIT_CAP} closure bits")

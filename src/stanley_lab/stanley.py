@@ -23,7 +23,6 @@ from .monomials import (
     Multidegree,
     as_degree,
     deg_add,
-    members_in_box,
     support,
 )
 
@@ -91,22 +90,12 @@ class ModulePresentation(NamedTuple):
             )
 
 
-def check_quotient_power(k: int) -> None:
-    """Reject S/I^k for k < 1, where it is the zero module or undefined."""
-    if k < 1:
-        raise InputError("S/I^k needs k >= 1")
-
-
 def generator_corner(module: ModulePresentation) -> Multidegree:
-    """Componentwise maximum generator exponent of both ideals."""
+    """Componentwise maximum generator exponent of both ideals.  Clamping to it
+    keeps membership in both, so every nonzero module has a basis point below it."""
     return tuple(
         max(col) for col in zip((0,) * module.n, *module.lower.gens, *module.upper.gens)
     )
-
-
-def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multidegree]:
-    """All basis multidegrees a <= corner of the module."""
-    return members_in_box(module.upper, corner) - members_in_box(module.lower, corner)
 
 
 _Z_SETS: dict[frozenset[int], frozenset[int]] = {}  # each Z set in use, keyed by itself

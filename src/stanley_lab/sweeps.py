@@ -28,6 +28,7 @@ from .bounds import (
     KIND_POWER,
     KIND_S_MOD,
     _module_is_zero,
+    depth_by_trung,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
@@ -35,7 +36,7 @@ from .bounds import (
     question_experiment,
     stanley_verdict,
 )
-from .depth import depth_by_trung, depth_exact
+from .depth import depth_exact
 from .errors import InputError
 from .graphs import Graph, enumerate_labeled_graphs, parse_graph
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
@@ -92,7 +93,8 @@ def _per_class(nmax: int, values: Callable[[Graph], list[dict]]) -> list[dict]:
         for graph, rep in isomorphism_classes(n):
             if rep not in memo:
                 memo[rep] = values(rep)
-            rows.extend({"graph": graph.to_json(), **v} for v in memo[rep])
+            obj = graph.to_json()
+            rows.extend({"graph": obj, **v} for v in memo[rep])
     return rows
 
 

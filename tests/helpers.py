@@ -11,6 +11,7 @@ from stanley_lab import (
     enumerate_trees,
     verify,
 )
+from stanley_lab.monomials import Multidegree, members_in_box
 from stanley_lab.sdepth import DEFAULT_BUDGET
 
 
@@ -76,6 +77,11 @@ def identity_fuzz(pairs: int = 200, seed: int = 0, kmax: int = 3) -> list[dict]:
                     ok = False
         rows.append({"pair": index, "n": left.n, "ok": ok})
     return rows
+
+
+def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multidegree]:
+    """All basis multidegrees a <= corner of the module."""
+    return members_in_box(module.upper, corner) - members_in_box(module.lower, corner)
 
 
 def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:

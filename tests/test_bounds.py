@@ -5,8 +5,12 @@ import pytest
 from stanley_lab import bounds
 from stanley_lab import (
     InputError,
+    ModulePresentation,
+    MonomialIdeal,
     UndefinedValueError,
     analytic_spread_edge,
+    build_poset,
+    homology_profile,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
@@ -95,6 +99,33 @@ def test_zero_guard_matches_module():
                     assert _module_is_zero(graph, k, kind) == module.is_zero()
                     zeros += module.is_zero()
     assert zeros == 2 * 3 * 4  # I^k and I^k/I^{k+1}, k = 1..3, edgeless n = 1..4
+
+
+def test_oracles_find_zero_modules_in_their_basis(monkeypatch):
+    """build_poset and homology_profile tell a zero module by its empty basis
+    bitset, without the generator scan of ModulePresentation.is_zero."""
+    zeros = [
+        module
+        for n in range(1, 5)
+        for graph in enumerate_labeled_graphs(n)
+        for kind in KINDS
+        for k in range(1, 4)
+        if (module := module_for(graph, k, kind)).is_zero()
+    ]
+    ideal = MonomialIdeal.make(2, [(2, 0), (1, 1)])
+    zeros.append(ModulePresentation.make(2, ideal, ideal))  # J/J
+    assert len(zeros) == 2 * 3 * 4 + 1
+
+    def scan(self):
+        raise AssertionError("ModulePresentation.is_zero was called")
+
+    monkeypatch.setattr(ModulePresentation, "is_zero", scan)
+    for module in zeros:
+        for oracle in (build_poset, homology_profile):
+            with pytest.raises(UndefinedValueError):
+                oracle(module)
+    layer = module_for(preset("path:3"), 1, KIND_LAYER)
+    assert build_poset(layer).elements and homology_profile(layer).depth == 1
 
 
 def test_stanley_verdict_errors():

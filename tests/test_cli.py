@@ -11,7 +11,14 @@ import time
 import pytest
 
 import stanley_lab
-from stanley_lab import ModulePresentation, MonomialIdeal, cli, homology_profile
+from stanley_lab import (
+    ModulePresentation,
+    MonomialIdeal,
+    StanleyDecomposition,
+    cli,
+    homology_profile,
+    verify,
+)
 from stanley_lab.bounds import KINDS
 from stanley_lab.sdepth import DEFAULT_BUDGET
 
@@ -471,3 +478,31 @@ def test_oversized_poset_exits_on_budget_within_a_second(tmp_path, capsys, args,
     assert err.startswith("budget exceeded: poset of") and err.count("\n") == 1
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+def test_construct_reports_the_sdepth_its_construction_verified(monkeypatch, capsys):
+    """construct does not verify again: its construction request verified the
+    certificate, and an empty one (a zero layer) is valid trivially."""
+    def again(dec):
+        raise AssertionError("construct verified its certificate again")
+
+    monkeypatch.setattr(cli, "verify", again)
+    cases = [("path:3", 2, "power"), ("cycle:3+path:2", 2, "power"), ("cycle:4", 2, "s-mod-power"),
+             ("path:2+path:2", 1, "layer"), ("path:1+path:1", 1, "layer")]
+    for graph, k, kind in cases:
+        argv = ["--json", "construct", "--graph", graph, "--k", str(k), "--kind", kind]
+        assert cli.main(argv) == cli.EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        report = verify(StanleyDecomposition.from_json(result["certificate"]))
+        assert report.valid and result["sdepth"] == report.sdepth
+    assert result["sdepth"] is None and result["spaces"] == 0  # the zero layer
+
+
+@pytest.mark.parametrize("command", ["sdepth", "depth"])
+def test_zero_module_over_the_box_cap_exits_on_budget(tmp_path, capsys, command):
+    """The oracles tell a zero module from its basis, so its box is built first."""
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"n": 1, "lower_gens": [[40000000]], "upper_gens": [[40000000]]}))
+    assert cli.main([command, "--module", str(path)]) == cli.EXIT_BUDGET == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded") and err.count("\n") == 1

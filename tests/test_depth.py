@@ -21,9 +21,8 @@ from stanley_lab.bounds import module_for
 from stanley_lab.depth import _family_ranks, scan_corner
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
 from stanley_lab.monomials import Box, iter_box
-from stanley_lab.stanley import basis_in_box
 
-from helpers import random_presentations
+from helpers import basis_in_box, random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)

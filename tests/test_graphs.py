@@ -78,12 +78,11 @@ def test_bipartite_agrees_with_odd_cycle_search(n):
 
 def test_trees_and_leaves():
     p3 = preset("path:3")
-    assert p3.find_leaf() == 1
-    assert p3.neighbors(2) == frozenset({1, 3})
+    assert p3.adjacency() == {1: [2], 2: [1, 3], 3: [2]}
     c4 = preset("cycle:4")
-    assert c4.find_leaf() is None
+    assert all(len(ws) == 2 for ws in c4.adjacency().values())
     edge = preset("path:2")
-    assert edge.find_leaf() == 1
+    assert edge.adjacency() == {1: [2], 2: [1]}
 
 
 @pytest.mark.parametrize(
@@ -105,7 +104,7 @@ def test_tree_edge_and_leaf_counts():
     for n in range(2, 7):
         for tree in enumerate_trees(n):
             assert len(tree.edges) == n - 1
-            degree = {v: len(tree.neighbors(v)) for v in tree.vertices}
+            degree = {v: len(ws) for v, ws in tree.adjacency().items()}
             assert sum(1 for d in degree.values() if d == 1) >= 2
 
 

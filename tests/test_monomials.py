@@ -88,7 +88,7 @@ def test_contains_length_mismatch():
 
 def test_power():
     assert (P3**2).gens == ((0, 2, 2), (1, 2, 1), (2, 2, 0))
-    assert (P3**0).is_unit()
+    assert P3**0 == MonomialIdeal.unit(3)
     a = MonomialIdeal.make(2, [(1, 0)])
     b = MonomialIdeal.make(2, [(0, 1)])
     assert (a * b).gens == ((1, 1),)

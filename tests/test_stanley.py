@@ -13,7 +13,6 @@ from stanley_lab import (
     ModulePresentation,
     StanleyDecomposition,
     StanleySpace,
-    basis_in_box,
     concat,
     decompose_power_general,
     decompose_power_tree,
@@ -28,6 +27,8 @@ from stanley_lab import (
 from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
 from stanley_lab.stanley import _verification_box
+
+from helpers import basis_in_box
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)

@@ -13,14 +13,15 @@ from stanley_lab.bounds import (
     HOLDS,
     KIND_POWER,
     KIND_S_MOD,
+    depth_by_trung,
     lower_sdepth_power,
     lower_sdepth_quotient_layers,
     lower_sdepth_s_mod_power,
     module_for,
     stanley_verdict,
 )
-from stanley_lab.depth import depth_by_trung, depth_exact
-from stanley_lab.graphs import enumerate_labeled_graphs
+from stanley_lab.depth import depth_exact
+from stanley_lab.graphs import Graph, enumerate_labeled_graphs
 from stanley_lab.sdepth import sdepth_exact
 from stanley_lab.sweeps import (
     isomorphism_classes,
@@ -298,3 +299,17 @@ def test_import_leaves_the_worker_pool_out():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def test_per_class_serializes_each_labeled_graph_once(monkeypatch):
+    calls = []
+    to_json = Graph.to_json
+
+    def counted(graph):
+        calls.append(graph)
+        return to_json(graph)
+
+    monkeypatch.setattr(Graph, "to_json", counted)
+    rows = sweep_layer_bound(4, range(3))
+    labeled = sum(len(isomorphism_classes(n)) for n in range(1, 5))
+    assert len(calls) == len(set(calls)) == labeled == 75 < len(rows)
