@@ -4,16 +4,20 @@ Subcommands: analyze, construct, verify, sdepth, depth, certify, sweep,
 question.  Graphs are JSON files or presets (path:k, cycle:k, star:k,
 complete:k, joined with '+').  Exit codes: 0 success, 1 verification or
 claim failure, 2 input error (bad input, or an output file that cannot be
-written), 3 budget exceeded or out of memory; a sweep whose failing rows are
-all undecided (a search stopped by its budget) exits 3.  Reports embed the
-tool version and the full invocation so certificates are reproducible artifacts.
+written), 3 budget exceeded or out of memory, 4 internal error (an
+unexpected exception: the invocation and the traceback go to stderr); a
+sweep whose failing rows are all undecided (a search stopped by its budget)
+exits 3.  Reports embed the tool version and the full invocation so
+certificates are reproducible artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
+import traceback
 
 from . import __version__
 from .bounds import (
@@ -46,6 +50,11 @@ EXIT_OK = 0
 EXIT_CLAIM = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
+
+
+def _invocation(args: argparse.Namespace) -> list[str]:
+    return sys.argv[1:] if args.argv is None else args.argv
 
 
 def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> None:
@@ -53,7 +62,7 @@ def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> None:
         payload = {
             "tool": "stanley-lab",
             "version": __version__,
-            "invocation": sys.argv[1:] if args.argv is None else args.argv,
+            "invocation": _invocation(args),
             "result": result,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -336,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     except ContradictionError as exc:
         print(f"CLAIM FAILURE: {exc}", file=sys.stderr)
         return EXIT_CLAIM
+    except Exception:  # a bug, not a failed claim: exit 1 keeps its meaning
+        print(f"internal error in: stanley-lab {shlex.join(_invocation(args))}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

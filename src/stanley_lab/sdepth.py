@@ -27,7 +27,7 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as lattice_product
+from itertools import compress, product as lattice_product
 from operator import eq
 from typing import NamedTuple
 
@@ -70,7 +70,14 @@ class CharacteristicPoset(NamedTuple):
         return sum(1 for x, y in zip(b, self.g) if x == y)
 
 
-def build_poset(module: ModulePresentation) -> CharacteristicPoset:
+BasisPoints = tuple[Multidegree, Box, tuple[Multidegree, ...]]
+
+
+def basis_points(module: ModulePresentation) -> BasisPoints:
+    """(g, box, elements): the generator corner g, the box [0, g] and the
+    basis points in it in degree-lexicographic order, read from one box
+    bitset.  A zero module, or one whose poset would exceed
+    ``POSET_BIT_CAP`` closure bits, raises here."""
     g = generator_corner(module)
     box = Box(g)
     basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
@@ -79,7 +86,15 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     m = basis.bit_count()
     if m * m > POSET_BIT_CAP:  # fail before any closure is built
         raise BudgetExceededError(f"poset of {m} elements needs over {POSET_BIT_CAP} closure bits")
-    elements = tuple(sorted(box.points(basis), key=_grlex))
+    return g, box, tuple(sorted(box.points(basis), key=_grlex))
+
+
+def build_poset(
+    module: ModulePresentation, points: BasisPoints | None = None
+) -> CharacteristicPoset:
+    """The characteristic poset; ``points`` is ``basis_points(module)`` when
+    the caller already has it."""
+    g, box, elements = points or basis_points(module)
     where = {box.index(e): i for i, e in enumerate(elements)}
     # steps[i]: the elements e_i + e_j, one box stride above e_i
     steps = [
@@ -212,6 +227,25 @@ def sdepth_exact(
             exact = False
             break
     return SdepthResult(best_value, exact, best, poset)
+
+
+def clamped_decomposition(
+    module: ModulePresentation, points: BasisPoints | None = None
+) -> StanleyDecomposition:
+    """The singleton partition's decomposition (Herzog-Vladoiu-Zheng): the
+    space (a, {j : a_j = g_j}) of every basis point a, in degree-lex order.
+
+    Its sdepth is the least rank.  At a target no higher, ``search_partition``
+    returns this partition after one node per element: the least top above a
+    forced bottom a is a itself, and [a, a] always fits.  ``points`` is
+    ``basis_points(module)`` when the caller already has it."""
+    g, _, elements = points or basis_points(module)
+    variables = range(1, module.n + 1)
+    spaces = tuple(
+        StanleySpace(a, shared_z(frozenset(compress(variables, map(eq, a, g)))))
+        for a in elements
+    )
+    return StanleyDecomposition(module, spaces)
 
 
 def partition_to_decomposition(

@@ -113,10 +113,6 @@ class StanleySpace(NamedTuple):
     u: Multidegree
     Z: frozenset[int]
 
-    @property
-    def dim(self) -> int:
-        return len(self.Z)
-
 
 class StanleyDecomposition(NamedTuple):
     module: ModulePresentation
@@ -124,13 +120,16 @@ class StanleyDecomposition(NamedTuple):
 
     def sdepth(self) -> int | None:
         """Minimum space dimension; None for the empty decomposition."""
-        return min((s.dim for s in self.spaces), default=None)
+        return min(map(len, {s.Z for s in self.spaces}), default=None)
 
     def variables(self) -> frozenset[int]:
         """The variables some space pins: in the support of its shift or off
         its Z.  Every other variable acts freely in every space."""
+        if not self.spaces:
+            return frozenset()
         every = frozenset(range(1, self.module.n + 1))
-        return frozenset().union(*(support(s.u) | (every - s.Z) for s in self.spaces))
+        shifted = support(tuple(map(max, zip(*(s.u for s in self.spaces)))))
+        return shifted | (every - frozenset.intersection(*{s.Z for s in self.spaces}))
 
     def to_json(self) -> dict:
         return {

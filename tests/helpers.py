@@ -7,11 +7,12 @@ from typing import Sequence
 from stanley_lab import (
     ModulePresentation,
     MonomialIdeal,
+    StanleyDecomposition,
     decompose_power_tree,
     enumerate_trees,
     verify,
 )
-from stanley_lab.monomials import Multidegree, members_in_box
+from stanley_lab.monomials import Multidegree, members_in_box, support
 from stanley_lab.sdepth import DEFAULT_BUDGET
 
 
@@ -82,6 +83,19 @@ def identity_fuzz(pairs: int = 200, seed: int = 0, kmax: int = 3) -> list[dict]:
 def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multidegree]:
     """All basis multidegrees a <= corner of the module."""
     return members_in_box(module.upper, corner) - members_in_box(module.lower, corner)
+
+
+def reference_sdepth(dec: StanleyDecomposition) -> int | None:
+    """``StanleyDecomposition.sdepth`` by its first definition: the least
+    space dimension, None for the empty decomposition."""
+    return min((len(s.Z) for s in dec.spaces), default=None)
+
+
+def reference_variables(dec: StanleyDecomposition) -> frozenset[int]:
+    """``StanleyDecomposition.variables`` by its first definition: the union
+    over the spaces of the shift's support and the variables off Z."""
+    every = frozenset(range(1, dec.module.n + 1))
+    return frozenset().union(*(support(s.u) | (every - s.Z) for s in dec.spaces))
 
 
 def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:

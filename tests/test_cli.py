@@ -458,6 +458,17 @@ def test_out_of_memory_exits_on_budget_with_one_line(monkeypatch, capsys):
     assert err.startswith("out of memory") and err.count("\n") == 1
 
 
+def test_unexpected_exception_exits_internal_with_the_invocation(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    assert cli.main(["analyze", "path:3"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error in: stanley-lab analyze path:3\nTraceback")
+    assert err.endswith("RuntimeError: a bug\n")
+
+
 @pytest.mark.parametrize("args,module", [
     (["--graph", "path:3", "--k", "60", "--kind", "s-mod-power"], None),
     (["--module"], {"n": 3, "lower_gens": [[60, 0, 0], [0, 60, 0], [0, 0, 60]],

@@ -21,8 +21,11 @@ from stanley_lab import (
     verify,
 )
 from stanley_lab import constructions
-from stanley_lab.bounds import KINDS, module_for
+from stanley_lab.bounds import KIND_POWER, KINDS, module_for
 from stanley_lab.graphs import Graph, enumerate_trees, parse_graph, preset
+from stanley_lab.sdepth import build_poset, clamped_decomposition, search_partition
+
+from helpers import reference_sdepth, reference_variables
 
 MULTI_COMPONENT = ("cycle:3+path:3", "path:3+path:2", "cycle:4+path:2")
 
@@ -244,6 +247,81 @@ def test_multi_component_certificates_pinned():
     assert pinned(quotients) == (716, "9a42fdca36324a3b")
     powers = (decompose_power_general(g, k) for g in graphs for k in (1, 2))
     assert pinned(powers) == (177, "f511ede237598c59")
+
+
+def test_sdepth_and_variables_match_their_first_definitions(monkeypatch):
+    """On every certificate the pinned requests above check, and on the
+    empty decomposition."""
+    checked_decs = []
+    real_checked = constructions._checked
+
+    def collecting_checked(dec, context):
+        checked_decs.append(dec)
+        return real_checked(dec, context)
+
+    monkeypatch.setattr(constructions, "_checked", collecting_checked)
+    for n in range(2, 7):
+        for tree in enumerate_trees(n):
+            for k in (1, 2, 3):
+                decompose_power_tree(tree, k)
+    for graph in map(parse_graph, MULTI_COMPONENT):
+        for k in (2, 3):
+            decompose_s_mod_power(graph, k)
+        for k in (1, 2):
+            decompose_power_general(graph, k)
+    empty = StanleyDecomposition(module_for(preset("path:2"), 1, KIND_POWER), ())
+    decs = set(checked_decs) | {empty}
+    for dec in decs:
+        assert dec.sdepth() == reference_sdepth(dec)
+        assert dec.variables() == reference_variables(dec)
+    # some pieces leave variables free, so the Z sets do matter
+    assert sum(len(dec.variables()) < dec.module.n for dec in decs) > 100
+
+
+def test_clamped_oracle_keeps_the_walk_budget():
+    """At the least rank the walk takes one node per element, so the clamped
+    certificate needs a budget of m and fails at m - 1 as the walk would."""
+    graph = preset("path:5")
+    module = module_for(graph, 2, KIND_POWER)
+    poset = build_poset(module)
+    least, m = min(poset.ranks), len(poset.elements)
+    assert search_partition(poset, least, m).status == "found"
+    assert search_partition(poset, least, m - 1).status == "exceeded"
+    dec = constructions._oracle_certificate(graph, module, least, m, "the test")
+    assert dec == clamped_decomposition(module)
+    with pytest.raises(BudgetExceededError) as failed:
+        constructions._oracle_certificate(graph, module, least, m - 1, "the test")
+    assert str(failed.value) == (
+        f"budget {m - 1} exhausted while searching the guaranteed target {least} (the test)"
+    )
+
+
+def test_posets_are_built_only_above_the_least_rank(monkeypatch):
+    oracles, built, searched = [], [], []
+    real_clamped = constructions.clamped_decomposition
+    real_build, real_search = constructions.build_poset, constructions.search_partition
+
+    def counting_clamped(module, points=None):
+        oracles.append(module)
+        return real_clamped(module, points)
+
+    def counting_build(module, points=None):
+        built.append(module)
+        return real_build(module, points)
+
+    def counting_search(poset, target, budget):
+        searched.append((min(poset.ranks), target))
+        return real_search(poset, target, budget)
+
+    monkeypatch.setattr(constructions, "clamped_decomposition", counting_clamped)
+    monkeypatch.setattr(constructions, "build_poset", counting_build)
+    monkeypatch.setattr(constructions, "search_partition", counting_search)
+    for tree in enumerate_trees(5):
+        decompose_power_tree(tree, 2)
+    for graph in map(parse_graph, MULTI_COMPONENT):
+        decompose_s_mod_power(graph, 2)
+    assert all(target > least for least, target in searched)
+    assert len(built) == len(searched) == 10 and len(oracles) == 25
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from stanley_lab import (
+    InputError,
     MonomialIdeal,
     ModulePresentation,
     UndefinedValueError,
@@ -18,7 +19,7 @@ from stanley_lab import (
     search_partition,
     verify,
 )
-from stanley_lab.bounds import module_for
+from stanley_lab.bounds import KINDS, module_for
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
 from stanley_lab import BudgetExceededError, sdepth
 from stanley_lab.sdepth import (
@@ -27,6 +28,7 @@ from stanley_lab.sdepth import (
     IntervalPartition,
     SearchOutcome,
     _row,
+    clamped_decomposition,
 )
 
 from helpers import random_presentations
@@ -371,3 +373,39 @@ def test_poset_over_the_closure_bit_cap_fails_before_any_closure(monkeypatch):
 
 def test_poset_cap_keeps_the_largest_posets_in_use():
     assert 11_833**2 < sdepth.POSET_BIT_CAP < 32_769**2
+
+
+def _oracle_modules():
+    """Every module of every kind, k <= 3, of the labeled graphs on at most
+    4 vertices, then the seeded random presentations."""
+    for n in range(1, 5):
+        for graph in enumerate_labeled_graphs(n):
+            for kind in KINDS:
+                for k in range(4):
+                    try:
+                        yield module_for(graph, k, kind)
+                    except InputError:  # k below the kind's minimum
+                        pass
+    yield from random_presentations(300, seed=3)
+
+
+def test_clamped_decomposition_is_the_walk_at_targets_up_to_the_least_rank():
+    clamped = zero = 0
+    for module in dict.fromkeys(_oracle_modules()):
+        try:
+            poset = build_poset(module)
+        except UndefinedValueError:
+            with pytest.raises(UndefinedValueError):
+                clamped_decomposition(module)
+            zero += 1
+            continue
+        dec = clamped_decomposition(module)
+        least = min(poset.ranks)
+        report = verify(dec)
+        assert report.valid and report.sdepth == least
+        for target in range(least + 1):
+            outcome = search_partition(poset, target)
+            assert outcome.nodes == len(poset.elements)
+            assert partition_to_decomposition(poset, outcome.partition, module) == dec
+            clamped += 1
+    assert (clamped, zero) == (1585, 4)  # both branches exercised
