@@ -252,6 +252,14 @@ def cmd_question(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option (a budget, a largest power)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stanley-lab",
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         p.add_argument(
             "--budget",
-            type=int,
+            type=_count,
             default=DEFAULT_BUDGET,
             help=f"search node budget (default: {DEFAULT_BUDGET})",
         )
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="check every claim on all small graphs")
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=2)
+    p.add_argument("--kmax", type=_count, default=2)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--full", action="store_true", help="include per-instance rows")
     add_budget(p)

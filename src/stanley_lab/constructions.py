@@ -25,9 +25,9 @@ extension: ``tensor`` intersects the Z sets of factors that leave each other's
 variables free, and ``pin`` fixes a free variable at exponent 0.  An oracle
 search for a subgraph H counts the n - |V(H)| variables off H toward every
 rho, so it runs at the guaranteed target plus n - |V(H)|; isolated vertices
-of H count toward the guarantee itself.  A target at or below the poset's
-least rank takes ``clamped_decomposition``, the singleton partition that the
-walk would return after one node per element, and runs no walk.
+of H count toward the guarantee itself.  Every oracle certificate takes one
+path: ``build_poset``, ``search_partition`` at that target, and
+``partition_to_decomposition``.
 
 Every assembled certificate and every intermediate piece is verified: each
 public call opens a session for its request only (nested calls join it), in
@@ -50,9 +50,7 @@ from .graphs import Component, Graph
 from .monomials import MonomialIdeal, deg_add
 from .sdepth import (
     DEFAULT_BUDGET,
-    basis_points,
     build_poset,
-    clamped_decomposition,
     partition_to_decomposition,
     sdepth_exact,
     search_partition,
@@ -122,27 +120,19 @@ def _oracle_certificate(
     """Search a module of sub's edge ideal at a target the guarantee makes
     attainable over sub's own vertices; failure is a contradiction."""
     target += sub.n - sub.num_vertices
-    points = basis_points(module)
-    dec = clamped_decomposition(module, points)
-    if dec.sdepth() >= target:
-        # the walk would take these singleton intervals, one node per element
-        status = "found" if len(dec.spaces) <= budget else "exceeded"
-    else:
-        poset = build_poset(module, points)
-        outcome = search_partition(poset, target, budget)
-        status = outcome.status
-        if status == "found":
-            dec = partition_to_decomposition(poset, outcome.partition, module)
-    if status == "exceeded":
+    poset = build_poset(module)
+    outcome = search_partition(poset, target, budget)
+    if outcome.status == "exceeded":
         raise BudgetExceededError(
             f"budget {budget} exhausted while searching the guaranteed "
             f"target {target} ({guarantee})"
         )
-    if status == "none":
+    if outcome.status == "none":
         raise ContradictionError(
             f"no partition at target {target}, but {guarantee} guarantees one; "
             f"module: {module.to_json()}"
         )
+    dec = partition_to_decomposition(poset, outcome.partition, module)
     return _checked(dec, "oracle certificate")
 
 

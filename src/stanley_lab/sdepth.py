@@ -12,21 +12,24 @@ behavior.
 The poset is convex: a <= c <= b with x^a in J and x^b not in I puts x^c in
 J \\ I.  So the interval [a, b] of two elements is up[a] & down[b], the
 elements reached from a by unit steps up and from b by unit steps down.
-These bitset closures are built once per poset, and a row of the candidate
-table is built from them only when the search first forces its bottom.
+These bitset closures are built once per poset, on their first read, and a
+row of the candidate table is built from them only when the search first
+forces its bottom.
 
 The search is a deterministic exact-cover backtracking: the lexicographically
 (degree-first) least uncovered element must be the bottom of its interval, so
 only tops are branched on.  The walk is one loop over an explicit path of
 open nodes, not a recursion, so a walk as deep as the poset is large runs
-without touching interpreter state such as the recursion limit.  Budgets are
-node counts; exceeding one is a distinct tri-state outcome, never a silent
-failure.
+without touching interpreter state such as the recursion limit.  At a target
+at or below the least rank the walk provably takes the singleton partition
+of Herzog-Vladoiu-Zheng, one node per element, so the search returns it
+without walking or reading a closure.  Budgets are node counts; exceeding one
+is a distinct tri-state outcome, never a silent failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, product as lattice_product
 from operator import eq
 from typing import NamedTuple
@@ -54,30 +57,57 @@ def _grlex(a: Multidegree) -> tuple:
     return (sum(a), a)
 
 
-class CharacteristicPoset(NamedTuple):
+class _Closure:
+    """``up`` or ``down`` of a poset: the first read of either builds both
+    from the poset's box and stores them on the poset, where they shadow
+    this descriptor from then on."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, poset: CharacteristicPoset, owner: type) -> tuple[int, ...]:
+        box, elements = poset.box, poset.elements
+        where = {box.index(e): i for i, e in enumerate(elements)}
+        # steps[i]: the elements e_i + e_j, one box stride above e_i
+        steps = [
+            [where[b + s] for x, c, s in zip(e, box.corner, box.strides) if x < c and b + s in where]
+            for e, b in zip(elements, where)
+        ]
+        up = [1 << i for i in range(len(elements))]
+        down = up[:]
+        for i in reversed(range(len(elements))):  # e + e_j comes after e in grlex order
+            for k in steps[i]:
+                up[i] |= up[k]
+        for i, row in enumerate(steps):
+            for k in row:
+                down[k] |= down[i]
+        object.__setattr__(poset, "up", tuple(up))  # past the frozen guard, as __init__ does
+        object.__setattr__(poset, "down", tuple(down))
+        return getattr(poset, self.name)
+
+
+@dataclass(frozen=True)
+class CharacteristicPoset:
     """Elements in degree-lexicographic order; ``ranks[i]`` is rho of element
-    i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i."""
+    i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i.
+    The closures are built from ``box``, the box [0, g], on first read."""
 
     n: int
     g: Multidegree
     elements: tuple[Multidegree, ...]
     ranks: tuple[int, ...]
-    up: tuple[int, ...]
-    down: tuple[int, ...]
+    box: Box = field(compare=False, repr=False)
+    up = _Closure()
+    down = _Closure()
 
     def rho(self, b: Multidegree) -> int:
         """Count of coordinates pinned at the box corner (free ones included)."""
         return sum(1 for x, y in zip(b, self.g) if x == y)
 
 
-BasisPoints = tuple[Multidegree, Box, tuple[Multidegree, ...]]
-
-
-def basis_points(module: ModulePresentation) -> BasisPoints:
-    """(g, box, elements): the generator corner g, the box [0, g] and the
-    basis points in it in degree-lexicographic order, read from one box
-    bitset.  A zero module, or one whose poset would exceed
-    ``POSET_BIT_CAP`` closure bits, raises here."""
+def build_poset(module: ModulePresentation) -> CharacteristicPoset:
+    """The characteristic poset, read from one box bitset.  A zero module, or
+    one whose poset would exceed ``POSET_BIT_CAP`` closure bits, raises here."""
     g = generator_corner(module)
     box = Box(g)
     basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
@@ -86,31 +116,9 @@ def basis_points(module: ModulePresentation) -> BasisPoints:
     m = basis.bit_count()
     if m * m > POSET_BIT_CAP:  # fail before any closure is built
         raise BudgetExceededError(f"poset of {m} elements needs over {POSET_BIT_CAP} closure bits")
-    return g, box, tuple(sorted(box.points(basis), key=_grlex))
-
-
-def build_poset(
-    module: ModulePresentation, points: BasisPoints | None = None
-) -> CharacteristicPoset:
-    """The characteristic poset; ``points`` is ``basis_points(module)`` when
-    the caller already has it."""
-    g, box, elements = points or basis_points(module)
-    where = {box.index(e): i for i, e in enumerate(elements)}
-    # steps[i]: the elements e_i + e_j, one box stride above e_i
-    steps = [
-        [where[b + s] for x, c, s in zip(e, g, box.strides) if x < c and b + s in where]
-        for e, b in zip(elements, where)
-    ]
-    up = [1 << i for i in range(len(elements))]
-    down = up[:]
-    for i in reversed(range(len(elements))):  # e + e_j comes after e in grlex order
-        for k in steps[i]:
-            up[i] |= up[k]
-    for i, row in enumerate(steps):
-        for k in row:
-            down[k] |= down[i]
+    elements = tuple(sorted(box.points(basis), key=_grlex))
     ranks = tuple(sum(map(eq, e, g)) for e in elements)
-    return CharacteristicPoset(module.n, g, elements, ranks, tuple(up), tuple(down))
+    return CharacteristicPoset(module.n, g, elements, ranks, box)
 
 
 # A dataclass, not a NamedTuple: perfbench/test_perfbench.py rebuilds it with dataclasses.replace.
@@ -132,11 +140,11 @@ def _row(poset: CharacteristicPoset, tall: int, i: int) -> list[tuple]:
     """(top, mask) for each interval [elements[i], top] with top in the bitset
     ``tall``, sorted by top.  Bit c of the mask is set iff element c lies in
     the interval: the mask is up[i] & down[top] (see the module docstring)."""
-    above = poset.up[i]
+    above, elements, down = poset.up[i], poset.elements, poset.down
     bits, row = above & tall, []
     while bits:
         j = (bits & -bits).bit_length() - 1
-        row.append((poset.elements[j], above & poset.down[j]))
+        row.append((elements[j], above & down[j]))
         bits &= bits - 1
     return sorted(row)
 
@@ -149,16 +157,24 @@ def search_partition(
     "none" is a proof of nonexistence; "exceeded" makes no claim.  The search
     is deterministic: bottoms are forced (least uncovered element in the
     degree-lexicographic order), candidate tops are tried in lexicographic
-    order, and failed cover states are memoized.
+    order, and failed cover states are memoized, at most ``POSET_BIT_CAP``
+    bits of them.
     """
     if not 0 <= target <= poset.n:
         raise InputError(f"target {target} outside 0..{poset.n}")
     elems = poset.elements
     m = len(elems)
+    if target <= min(poset.ranks):
+        # the singleton partition, as the walk finds it: the least top above a
+        # forced bottom e is e itself and [e, e] always fits, one node each
+        if m > budget:
+            return SearchOutcome("exceeded", None, max(budget + 1, 1))
+        return SearchOutcome("found", IntervalPartition(tuple((e, e) for e in elems)), m)
     tall = sum(1 << j for j, r in enumerate(poset.ranks) if r >= target)
     # c is covered by some interval iff [c, b] is one for some tall b >= c
     if any(not above & tall for above in poset.up):
         return SearchOutcome("none", None, 0)
+    memo_cap = min(_MEMO_CAP, POSET_BIT_CAP // m)  # failed states of m bits each
     rows: list = [None] * m  # row i is built when the walk first forces bottom i
     failed: set[int] = set()
     # the open nodes above the current one: (uncovered, bottom, row iterator, top)
@@ -180,7 +196,7 @@ def search_partition(
                     uncovered ^= mask
                     break
             else:
-                if len(failed) < _MEMO_CAP:
+                if len(failed) < memo_cap:
                     failed.add(uncovered)
                 if not path:
                     return SearchOutcome("none", None, nodes)
@@ -211,41 +227,14 @@ def sdepth_exact(
     """
     poset = build_poset(module)
     best = IntervalPartition(tuple((e, e) for e in poset.elements))
-    best_value = min(poset.ranks)
-    rho_max = max(poset.ranks)
-    exact = True
-    d = best_value + 1
-    while d <= rho_max:
-        outcome = search_partition(poset, d, budget)
-        if outcome.status == "found":
-            best = outcome.partition
-            best_value = best.value(poset)
-            d = best_value + 1
-        elif outcome.status == "none":
-            break
-        else:
-            exact = False
-            break
-    return SdepthResult(best_value, exact, best, poset)
-
-
-def clamped_decomposition(
-    module: ModulePresentation, points: BasisPoints | None = None
-) -> StanleyDecomposition:
-    """The singleton partition's decomposition (Herzog-Vladoiu-Zheng): the
-    space (a, {j : a_j = g_j}) of every basis point a, in degree-lex order.
-
-    Its sdepth is the least rank.  At a target no higher, ``search_partition``
-    returns this partition after one node per element: the least top above a
-    forced bottom a is a itself, and [a, a] always fits.  ``points`` is
-    ``basis_points(module)`` when the caller already has it."""
-    g, _, elements = points or basis_points(module)
-    variables = range(1, module.n + 1)
-    spaces = tuple(
-        StanleySpace(a, shared_z(frozenset(compress(variables, map(eq, a, g)))))
-        for a in elements
-    )
-    return StanleyDecomposition(module, spaces)
+    best_value, rho_max = min(poset.ranks), max(poset.ranks)
+    while best_value < rho_max:
+        outcome = search_partition(poset, best_value + 1, budget)
+        if outcome.status != "found":  # "none" proves the value exact
+            return SdepthResult(best_value, outcome.status == "none", best, poset)
+        best = outcome.partition
+        best_value = best.value(poset)
+    return SdepthResult(best_value, True, best, poset)
 
 
 def partition_to_decomposition(
@@ -259,15 +248,12 @@ def partition_to_decomposition(
     pinned at the box corner by b, and u running over the off-Z grid of the
     interval: the monomials above the interval split exactly that way.
     """
-    spaces = []
+    g, variables, spaces = poset.g, range(1, poset.n + 1), []
     for a, b in partition.intervals:
-        zvars = shared_z(frozenset(
-            j + 1 for j in range(poset.n) if b[j] == poset.g[j]
-        ))
-        ranges = [
-            range(a[j], a[j] + 1) if j + 1 in zvars else range(a[j], b[j] + 1)
-            for j in range(poset.n)
-        ]
-        for u in lattice_product(*ranges):
-            spaces.append(StanleySpace(u, zvars))
+        zvars = shared_z(frozenset(compress(variables, map(eq, b, g))))
+        if a == b:  # a singleton interval is one space
+            spaces.append(StanleySpace(a, zvars))
+            continue
+        ranges = (range(x, x + 1 if j in zvars else y + 1) for j, x, y in zip(variables, a, b))
+        spaces.extend(StanleySpace(u, zvars) for u in lattice_product(*ranges))
     return StanleyDecomposition(module, tuple(spaces))

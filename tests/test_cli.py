@@ -201,10 +201,9 @@ SWEEP_N4_SHA256 = "19e93414e3cf66e793607cfd15525b8b79673d409b874697612b72637130b
 
 
 def test_sweep_full_json_is_pinned():
-    env = {k: v for k, v in ENV.items() if k != "STANLEY_LAB_BUDGET"}
     out = subprocess.run(
         CLI + ["--json", "sweep", "--nmax", "4", "--kmax", "2", "--full"],
-        capture_output=True, env=env,
+        capture_output=True, env=ENV,
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == SWEEP_N4_SHA256
@@ -262,6 +261,18 @@ def test_input_error_exit_code():
     assert "input error" in out.stderr
     out = run("certify", "--graph", "path:3", "--k", "0", "--kind", "power")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sdepth", "--graph", "path:3", "--k", "2", "--budget", "-5"],
+    ["construct", "--graph", "path:3", "--k", "1", "--kind", "power", "--budget", "-1"],
+    ["sweep", "--nmax", "3", "--kmax", "-1"],
+])
+def test_negative_budget_and_kmax_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    assert "must be nonnegative, got -" in capsys.readouterr().err
 
 
 def _certificate(n, lower=(), upper=()):

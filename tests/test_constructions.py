@@ -23,7 +23,7 @@ from stanley_lab import (
 from stanley_lab import constructions
 from stanley_lab.bounds import KIND_POWER, KINDS, module_for
 from stanley_lab.graphs import Graph, enumerate_trees, parse_graph, preset
-from stanley_lab.sdepth import build_poset, clamped_decomposition, search_partition
+from stanley_lab.sdepth import build_poset, partition_to_decomposition, search_partition
 
 from helpers import reference_sdepth, reference_variables
 
@@ -279,16 +279,17 @@ def test_sdepth_and_variables_match_their_first_definitions(monkeypatch):
 
 
 def test_clamped_oracle_keeps_the_walk_budget():
-    """At the least rank the walk takes one node per element, so the clamped
+    """At the least rank the walk takes one node per element, so the oracle
     certificate needs a budget of m and fails at m - 1 as the walk would."""
     graph = preset("path:5")
     module = module_for(graph, 2, KIND_POWER)
     poset = build_poset(module)
     least, m = min(poset.ranks), len(poset.elements)
-    assert search_partition(poset, least, m).status == "found"
+    walk = search_partition(poset, least, m)
+    assert walk.status == "found"
     assert search_partition(poset, least, m - 1).status == "exceeded"
     dec = constructions._oracle_certificate(graph, module, least, m, "the test")
-    assert dec == clamped_decomposition(module)
+    assert dec == partition_to_decomposition(poset, walk.partition, module)
     with pytest.raises(BudgetExceededError) as failed:
         constructions._oracle_certificate(graph, module, least, m - 1, "the test")
     assert str(failed.value) == (
@@ -296,32 +297,32 @@ def test_clamped_oracle_keeps_the_walk_budget():
     )
 
 
-def test_posets_are_built_only_above_the_least_rank(monkeypatch):
-    oracles, built, searched = [], [], []
-    real_clamped = constructions.clamped_decomposition
+def test_oracle_closures_are_built_only_above_the_least_rank(monkeypatch):
+    """Every oracle call builds one poset and searches it once; only the
+    searches above the least rank read the closures, and each search at or
+    below it takes one node per element."""
+    posets, searches = [], []
     real_build, real_search = constructions.build_poset, constructions.search_partition
 
-    def counting_clamped(module, points=None):
-        oracles.append(module)
-        return real_clamped(module, points)
-
-    def counting_build(module, points=None):
-        built.append(module)
-        return real_build(module, points)
+    def counting_build(module):
+        posets.append(real_build(module))
+        return posets[-1]
 
     def counting_search(poset, target, budget):
-        searched.append((min(poset.ranks), target))
-        return real_search(poset, target, budget)
+        outcome = real_search(poset, target, budget)
+        searches.append((min(poset.ranks), target, len(poset.elements), outcome.nodes))
+        return outcome
 
-    monkeypatch.setattr(constructions, "clamped_decomposition", counting_clamped)
     monkeypatch.setattr(constructions, "build_poset", counting_build)
     monkeypatch.setattr(constructions, "search_partition", counting_search)
     for tree in enumerate_trees(5):
         decompose_power_tree(tree, 2)
     for graph in map(parse_graph, MULTI_COMPONENT):
         decompose_s_mod_power(graph, 2)
-    assert all(target > least for least, target in searched)
-    assert len(built) == len(searched) == 10 and len(oracles) == 25
+    assert len(posets) == len(searches) == 25
+    closed = sum("up" in vars(poset) for poset in posets)
+    assert closed == sum(target > least for least, target, _, _ in searches) == 10
+    assert all(nodes == m for least, target, m, nodes in searches if target <= least)
 
 
 @pytest.mark.parametrize(

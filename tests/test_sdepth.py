@@ -28,7 +28,6 @@ from stanley_lab.sdepth import (
     IntervalPartition,
     SearchOutcome,
     _row,
-    clamped_decomposition,
 )
 
 from helpers import random_presentations
@@ -389,23 +388,41 @@ def _oracle_modules():
     yield from random_presentations(300, seed=3)
 
 
-def test_clamped_decomposition_is_the_walk_at_targets_up_to_the_least_rank():
-    clamped = zero = 0
+def test_search_takes_the_singleton_partition_up_to_the_least_rank():
+    """At every target up to the least rank the search returns what the walk
+    returns, at every budget, and reads no closure; the partition is the
+    singleton one, and its certificate reaches exactly the least rank."""
+    shortcut = zero = 0
     for module in dict.fromkeys(_oracle_modules()):
         try:
             poset = build_poset(module)
         except UndefinedValueError:
-            with pytest.raises(UndefinedValueError):
-                clamped_decomposition(module)
             zero += 1
             continue
-        dec = clamped_decomposition(module)
-        least = min(poset.ranks)
-        report = verify(dec)
+        least, m = min(poset.ranks), len(poset.elements)
+        cases = [(target, budget) for target in range(least + 1)
+                 for budget in (DEFAULT_BUDGET, m, m - 1, 0, -1)]
+        outcomes = [search_partition(poset, target, budget) for target, budget in cases]
+        assert "up" not in vars(poset) and "down" not in vars(poset)
+        assert outcomes == [reference_search(poset, *case, _MEMO_CAP) for case in cases]
+        singleton = IntervalPartition(tuple((e, e) for e in poset.elements))
+        assert outcomes[0] == SearchOutcome("found", singleton, m)
+        report = verify(partition_to_decomposition(poset, singleton, module))
         assert report.valid and report.sdepth == least
-        for target in range(least + 1):
-            outcome = search_partition(poset, target)
-            assert outcome.nodes == len(poset.elements)
-            assert partition_to_decomposition(poset, outcome.partition, module) == dec
-            clamped += 1
-    assert (clamped, zero) == (1585, 4)  # both branches exercised
+        shortcut += least + 1
+    assert (shortcut, zero) == (1585, 4)  # both branches exercised
+
+
+def test_memo_is_capped_in_bits(monkeypatch):
+    """The failed-state memo holds at most POSET_BIT_CAP bits: with the cap
+    lowered after the posets are built, the node counts are the walk's with a
+    memo of POSET_BIT_CAP // m states."""
+    cases = [(poset, target) for poset, target, _ in _reference_cases()
+             if target > min(poset.ranks)]
+    monkeypatch.setattr(sdepth, "POSET_BIT_CAP", 64)
+    moved = 0
+    for poset, target in cases:
+        outcome = search_partition(poset, target, 2000)
+        assert outcome == reference_search(poset, target, 2000, 64 // len(poset.elements))
+        moved += outcome != reference_search(poset, target, 2000, _MEMO_CAP)
+    assert moved  # the cap bites
