@@ -260,6 +260,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _workers(text: str) -> int:
+    """A positive worker count; 1 runs serially."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stanley-lab",
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="check every claim on all small graphs")
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--kmax", type=_count, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_workers, default=1)
     p.add_argument("--full", action="store_true", help="include per-instance rows")
     add_budget(p)
     p.set_defaults(func=cmd_sweep)

@@ -22,7 +22,8 @@ edge ideal of an induced or vertex-deleted ``Graph`` (which keeps n), and every
 piece is a presentation over all n variables.  A variable outside a piece's
 ideal acts freely in it, so the piece's decomposition already is its free
 extension: ``tensor`` intersects the Z sets of factors that leave each other's
-variables free, and ``pin`` fixes a free variable at exponent 0.  An oracle
+variables free, and ``pin`` fixes a free variable at exponent 0; they and
+``shift`` derive each piece's module, and ``concat`` is given the whole's.  An oracle
 search for a subgraph H counts the n - |V(H)| variables off H toward every
 rho, so it runs at the guaranteed target plus n - |V(H)|; isolated vertices
 of H count toward the guarantee itself.  Every oracle certificate takes one
@@ -47,7 +48,6 @@ from typing import Iterable
 from .bounds import KIND_LAYER, KIND_POWER, KIND_S_MOD, _module_is_zero, module_for, pivot_component
 from .errors import BudgetExceededError, ContradictionError, InputError
 from .graphs import Component, Graph
-from .monomials import MonomialIdeal, deg_add
 from .sdepth import (
     DEFAULT_BUDGET,
     build_poset,
@@ -141,16 +141,6 @@ def _induced(graph: Graph, keep: Iterable[int]) -> Graph:
     return graph.delete_vertices(graph.vertices.difference(keep))
 
 
-def _tensor_module(
-    d1: StanleyDecomposition, d2: StanleyDecomposition
-) -> ModulePresentation:
-    """U1 U2 / (L1 U2 + U1 L2): the product of factors U/L whose ideals use
-    disjoint variables."""
-    m1, m2 = d1.module, d2.module
-    lower = m1.lower * m2.upper + m1.upper * m2.lower
-    return ModulePresentation.make(m1.n, lower, m1.upper * m2.upper)
-
-
 # ---------------------------------------------------------------------------
 # Layers I^k/I^{k+1}
 
@@ -183,11 +173,8 @@ def decompose_layer(
     head, rest = _induced(graph, first.vertices), sub.delete_vertices(first.vertices)
     pieces = []
     for s in range(k + 1):
-        t = k - s
-        d_left = decompose_layer(head, s, budget)
-        d_right = decompose_layer(rest, t, budget)
-        piece = tensor(d_left, d_right, _tensor_module(d_left, d_right))
-        pieces.append(_checked(piece, f"layer block s={s}, t={t}"))
+        piece = tensor(decompose_layer(head, s, budget), decompose_layer(rest, k - s, budget))
+        pieces.append(_checked(piece, f"layer block s={s}, t={k - s}"))
     return _checked(concat(pieces, module), "assembled layer blocks")
 
 
@@ -244,16 +231,12 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     leaf = min(v for v, ws in adj.items() if len(ws) == 1)
     (stem,) = adj[leaf]
     leaf_shift = tuple(int(v == leaf) for v in range(1, n + 1))
-    stem_shift = tuple(int(v == stem) for v in range(1, n + 1))
-    leaf_var = MonomialIdeal.make(n, [leaf_shift])
     pieces = []
 
     # monomials without the leaf variable: the power of the smaller tree, in
     # which the leaf acts freely, with the leaf set to 0
     smaller = _tree_power(tree.delete_vertices({leaf}), k, budget)
-    sub_power = smaller.module.upper
-    piece_module = ModulePresentation.make(n, leaf_var * sub_power, sub_power)
-    pieces.append(_checked(pin(smaller, (leaf,), piece_module), "leaf-free part"))
+    pieces.append(_checked(pin(smaller, (leaf,)), "leaf-free part"))
 
     # leaf-multiples avoiding the stem: the leaf's only neighbor is the stem,
     # so dividing by the leaf lands in the power of the doubly-deleted tree,
@@ -261,24 +244,15 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     pruned = tree.delete_vertices({leaf, stem})
     if pruned.has_edges():
         base = _oracle_certificate(
-            pruned,
-            module_for(pruned, k, KIND_POWER),
-            1,
-            budget,
+            pruned, module_for(pruned, k, KIND_POWER), 1, budget,
             "every nonzero monomial ideal has a depth-one decomposition",
         )
-        upper = leaf_var * base.module.upper
-        lower = MonomialIdeal.make(n, [stem_shift]) * upper
-        piece_module = ModulePresentation.make(n, lower, upper)
-        piece = shift(pin(base, (stem,), piece_module), leaf_shift, piece_module)
-        pieces.append(_checked(piece, "leaf-only part"))
+        pieces.append(_checked(shift(pin(base, (stem,)), leaf_shift), "leaf-only part"))
 
     # multiples of the leaf edge: the previous power, shifted by the edge
-    edge_shift = deg_add(leaf_shift, stem_shift)
+    edge_shift = tuple(int(v in (leaf, stem)) for v in range(1, n + 1))
     previous = _tree_power(tree, k - 1, budget)
-    upper = MonomialIdeal.make(n, [edge_shift]) * previous.module.upper
-    piece = shift(previous, edge_shift, ModulePresentation.of_ideal(upper))
-    pieces.append(_checked(piece, "edge-multiple part"))
+    pieces.append(_checked(shift(previous, edge_shift), "edge-multiple part"))
 
     return _checked(concat(pieces, module), f"tree power on {sorted(tree.vertices)} at k={k}")
 
@@ -311,8 +285,7 @@ def decompose_power_general(
         rest_layer = decompose_layer(rest_graph, k - level, budget)
         if not rest_layer.spaces:
             continue
-        piece = tensor(base, rest_layer, _tensor_module(base, rest_layer))
-        pieces.append(_checked(piece, f"filtration layer {level}"))
+        pieces.append(_checked(tensor(base, rest_layer), f"filtration layer {level}"))
 
     return _checked(concat(pieces, module_for(graph, k, KIND_POWER)), f"power at k={k}")
 

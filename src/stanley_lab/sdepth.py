@@ -53,10 +53,6 @@ _MEMO_CAP = 2_000_000
 POSET_BIT_CAP = 64 * BOX_POINT_CAP
 
 
-def _grlex(a: Multidegree) -> tuple:
-    return (sum(a), a)
-
-
 class _Closure:
     """``up`` or ``down`` of a poset: the first read of either builds both
     from the poset's box and stores them on the poset, where they shadow
@@ -116,7 +112,8 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     m = basis.bit_count()
     if m * m > POSET_BIT_CAP:  # fail before any closure is built
         raise BudgetExceededError(f"poset of {m} elements needs over {POSET_BIT_CAP} closure bits")
-    elements = tuple(sorted(box.points(basis), key=_grlex))
+    # points come in lexicographic order and the sort is stable: grlex order
+    elements = tuple(sorted(box.points(basis), key=sum))
     ranks = tuple(sum(map(eq, e, g)) for e in elements)
     return CharacteristicPoset(module.n, g, elements, ranks, box)
 

@@ -9,6 +9,8 @@ every membership predicate involved is constant above a per-coordinate
 threshold, and the box corner exceeds all thresholds by one.
 Spaces share their Z sets: each new Z goes through ``shared_z``, which keeps
 one stored copy per distinct set, at most 2^n of them over n variables.
+``tensor``, ``shift`` and ``pin`` derive the module they decompose from their inputs,
+which keeps lower <= upper, so only ``make``, for input, scans for it.
 """
 
 from __future__ import annotations
@@ -235,18 +237,17 @@ def verify(dec: StanleyDecomposition) -> VerificationReport:
     return VerificationReport(True, dec.sdepth())
 
 
-def tensor(
-    d1: StanleyDecomposition,
-    d2: StanleyDecomposition,
-    module: ModulePresentation,
-) -> StanleyDecomposition:
+def tensor(d1: StanleyDecomposition, d2: StanleyDecomposition) -> StanleyDecomposition:
     """Componentwise product of decompositions that leave each other's
-    variables free.
+    variables free: a decomposition of U1 U2 / (L1 U2 + U1 L2).
 
     Spaces are all pairwise (u + u', Z & Z').  Each variable is free in one
     factor or in both, so Z | Z' is every variable, |Z & Z'| = |Z| + |Z'| - n,
     and the sdepth of the product is the sum of the factors' minus n.
     """
+    m1, m2 = d1.module, d2.module
+    lower = m1.lower * m2.upper + m1.upper * m2.lower  # raises on different n, before any space
+    module = ModulePresentation(m1.n, lower, m1.upper * m2.upper)
     overlap = d1.variables() & d2.variables()
     if overlap:
         raise InputError(f"tensor factors both pin variables {sorted(overlap)}")
@@ -260,26 +261,30 @@ def tensor(
     return StanleyDecomposition(module, spaces)
 
 
-def shift(
-    dec: StanleyDecomposition, m: Sequence[int], module: ModulePresentation
-) -> StanleyDecomposition:
-    """Multiply every space by x^m: (u, Z) -> (u + m, Z)."""
-    deg = as_degree(m, dec.module.n)
+def shift(dec: StanleyDecomposition, m: Sequence[int]) -> StanleyDecomposition:
+    """Multiply every space by x^m: (u, Z) -> (u + m, Z), a decomposition of
+    x^m U / x^m L."""
+    n, lower, upper = dec.module
+    monomial = MonomialIdeal.make(n, [m])  # validates m as a multidegree of length n
+    (deg,) = monomial.gens
     spaces = tuple(StanleySpace(deg_add(s.u, deg), s.Z) for s in dec.spaces)
-    return StanleyDecomposition(module, spaces)
+    return StanleyDecomposition(ModulePresentation(n, monomial * lower, monomial * upper), spaces)
 
 
-def pin(
-    dec: StanleyDecomposition, variables: Iterable[int], module: ModulePresentation
-) -> StanleyDecomposition:
-    """Fix variables that act freely in dec at exponent 0: (u, Z) -> (u, Z - W)."""
+def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposition:
+    """Fix variables W that act freely in dec at exponent 0: (u, Z) -> (u, Z - W),
+    a decomposition of U / (L + x_W U)."""
+    n, lower, upper = dec.module
     ws = frozenset(int(v) for v in variables)
+    if not ws <= frozenset(range(1, n + 1)):
+        raise InputError(f"pin variables {sorted(ws)} out of range 1..{n}")
     clash = ws & dec.variables()
     if clash:
         raise InputError(f"cannot pin variables {sorted(clash)} that are not free")
     cut = {z: shared_z(z - ws) for z in {s.Z for s in dec.spaces}}
     spaces = tuple(StanleySpace(s.u, cut[s.Z]) for s in dec.spaces)
-    return StanleyDecomposition(module, spaces)
+    pinned = MonomialIdeal.make(n, [[int(j == w) for j in range(1, n + 1)] for w in ws])
+    return StanleyDecomposition(ModulePresentation(n, lower + pinned * upper, upper), spaces)
 
 
 def concat(

@@ -275,6 +275,14 @@ def test_negative_budget_and_kmax_are_input_errors(argv, capsys):
     assert "must be nonnegative, got -" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["-3", "0"])
+def test_sweep_jobs_below_one_is_an_input_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["sweep", "--nmax", "2", "--kmax", "1", "--jobs", jobs])
+    assert exited.value.code == 2
+    assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
 def _certificate(n, lower=(), upper=()):
     module = {"n": n, "lower_gens": list(lower), "upper_gens": list(upper)}
     return json.dumps({"module": module, "spaces": []})

@@ -10,6 +10,7 @@ from stanley_lab import (
     BudgetExceededError,
     ContradictionError,
     InputError,
+    ModulePresentation,
     StanleyDecomposition,
     StanleySpace,
     decompose_layer,
@@ -276,6 +277,33 @@ def test_sdepth_and_variables_match_their_first_definitions(monkeypatch):
         assert dec.variables() == reference_variables(dec)
     # some pieces leave variables free, so the Z sets do matter
     assert sum(len(dec.variables()) < dec.module.n for dec in decs) > 100
+
+
+def test_every_checked_module_passes_the_inclusion_scan(monkeypatch):
+    """The combinators build their modules without the lower <= upper scan of
+    ``ModulePresentation.make``; every module a request checks passes it."""
+    contexts = set()
+    real_checked = constructions._checked
+
+    def scanning_checked(dec, context):
+        assert ModulePresentation.make(*dec.module) == dec.module, context
+        contexts.add(context.split(" s=")[0].split(" on ")[0])
+        return real_checked(dec, context)
+
+    monkeypatch.setattr(constructions, "_checked", scanning_checked)
+    for n in range(2, 7):
+        for tree in enumerate_trees(n):
+            for k in (1, 2, 3):
+                decompose_power_tree(tree, k)
+    for graph in map(parse_graph, MULTI_COMPONENT):
+        decompose_power_general(graph, 2)
+        for k in (1, 2, 3):
+            decompose_s_mod_power(graph, k)
+    # every piece that tensor, shift or pin derives was among them
+    assert contexts >= {
+        "leaf-free part", "leaf-only part", "edge-multiple part",
+        "layer block", "filtration layer 1", "filtration layer 2",
+    }
 
 
 def test_clamped_oracle_keeps_the_walk_budget():

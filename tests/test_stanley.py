@@ -26,6 +26,7 @@ from stanley_lab import (
 )
 from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
+from stanley_lab import stanley
 from stanley_lab.stanley import _verification_box
 
 from helpers import basis_in_box
@@ -98,7 +99,9 @@ def embedded_quotient():
     ideal, so no space uses coordinates 2 and 4."""
     dec = decompose_s_mod_power(Graph.make(5, [(1, 3), (3, 5)]), 2)
     units = MonomialIdeal.make(5, [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
-    return pin(dec, (2, 4), ModulePresentation.quotient_ring(dec.module.lower + units))
+    pinned = pin(dec, (2, 4))
+    assert pinned.module == ModulePresentation.quotient_ring(dec.module.lower + units)
+    return pinned
 
 
 def free_extended_power():
@@ -266,6 +269,14 @@ QUOTIENT_12 = StanleyDecomposition(
         StanleySpace((0, 1, 0, 0), frozenset({2, 3, 4})),
     ),
 )
+# S/(x3 x4) in 4 variables, with x1 and x2 acting freely
+QUOTIENT_34 = StanleyDecomposition(
+    ModulePresentation.quotient_ring(MonomialIdeal.make(4, [(0, 0, 1, 1)])),
+    (
+        StanleySpace((0, 0, 0, 0), frozenset({1, 2, 3})),
+        StanleySpace((0, 0, 0, 1), frozenset({1, 2, 4})),
+    ),
+)
 
 
 def test_variables_are_the_pinned_ones():
@@ -284,7 +295,8 @@ def test_tensor():
     target = ModulePresentation.make(
         4, lifted_xy * ideal34, ideal34
     )
-    combined = tensor(QUOTIENT_12, right, target)
+    combined = tensor(QUOTIENT_12, right)
+    assert combined.module == target
     assert combined.spaces == (
         StanleySpace((0, 0, 1, 1), frozenset({1, 3, 4})),
         StanleySpace((0, 1, 1, 1), frozenset({2, 3, 4})),
@@ -313,44 +325,62 @@ def test_tensor_layer_piece():
             StanleySpace((0, 0, 0, 1), frozenset({1, 2, 4})),
         ),
     )
-    combined = tensor(layer, quotient, target)
+    combined = tensor(layer, quotient)
+    assert combined.module == target
     report = verify(combined)
     assert report.valid and report.sdepth == 2
 
 
 def test_tensor_sdepth_adds_exactly():
     # each factor has sdepth 1 over its own two variables, 3 in 4 variables
-    b_module = ModulePresentation.quotient_ring(MonomialIdeal.make(4, [(0, 0, 1, 1)]))
-    b = StanleyDecomposition(
-        b_module,
-        (
-            StanleySpace((0, 0, 0, 0), frozenset({1, 2, 3})),
-            StanleySpace((0, 0, 0, 1), frozenset({1, 2, 4})),
-        ),
-    )
     target = ModulePresentation.quotient_ring(
         MonomialIdeal.make(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
     )
-    combined = tensor(QUOTIENT_12, b, target)
-    assert combined.sdepth() == QUOTIENT_12.sdepth() + b.sdepth() - 4 == 1 + 1
+    combined = tensor(QUOTIENT_12, QUOTIENT_34)
+    assert combined.module == target
+    assert combined.sdepth() == QUOTIENT_12.sdepth() + QUOTIENT_34.sdepth() - 4 == 1 + 1
     assert verify(combined).valid
 
 
 def test_tensor_rejects_overlap():
     a = StanleyDecomposition(S_MOD_XY, (StanleySpace((0, 0), frozenset({1})),))
     with pytest.raises(InputError, match=r"both pin variables \[2\]"):
-        tensor(a, a, S_MOD_XY)
+        tensor(a, a)
     with pytest.raises(InputError, match=r"both pin variables \[1, 2\]"):
-        tensor(QUOTIENT_12, QUOTIENT_12, XY_MOD_4)
+        tensor(QUOTIENT_12, QUOTIENT_12)
     # x3 is free in QUOTIENT_12, and pinned in both factors here
-    narrow = pin(QUOTIENT_12, (3,), XY_MOD_4)
+    narrow = pin(QUOTIENT_12, (3,))
     with pytest.raises(InputError, match=r"both pin variables \[1, 2, 3\]"):
-        tensor(narrow, narrow, XY_MOD_4)
+        tensor(narrow, narrow)
+
+
+def test_tensor_rejects_factors_over_different_rings(monkeypatch):
+    # S/(x1 x2) over 2 variables pins {1, 2}; QUOTIENT_34 over 4 pins {3, 4}
+    narrow = StanleyDecomposition(
+        S_MOD_XY, (StanleySpace((0, 0), frozenset({1})), StanleySpace((0, 1), frozenset({2})))
+    )
+
+    def no_space_built(*args):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(stanley, "deg_add", no_space_built)
+    for d1, d2 in ((narrow, QUOTIENT_34), (QUOTIENT_34, narrow)):
+        with pytest.raises(InputError, match="ambient mismatch"):
+            tensor(d1, d2)
 
 
 def test_shift_identity():
     dec = StanleyDecomposition(S_MOD_XY, (StanleySpace((0, 0), frozenset({1})),))
-    assert shift(dec, (0, 0), S_MOD_XY).spaces == dec.spaces
+    assert shift(dec, (0, 0)) == dec
+
+
+def test_shift_derives_the_shifted_module():
+    # x3 times S/(x1 x2): the module x3 S / x1 x2 x3 S
+    moved = shift(QUOTIENT_12, (0, 0, 1, 0))
+    assert moved.module == ModulePresentation.make(
+        4, MonomialIdeal.make(4, [(1, 1, 1, 0)]), MonomialIdeal.make(4, [(0, 0, 1, 0)])
+    )
+    assert verify(moved).valid and moved.sdepth() == 3
 
 
 def test_pin_lowers_sdepth():
@@ -358,7 +388,8 @@ def test_pin_lowers_sdepth():
     module = ModulePresentation.quotient_ring(
         MonomialIdeal.make(4, [(1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     )
-    narrow = pin(QUOTIENT_12, (3, 4), module)
+    narrow = pin(QUOTIENT_12, (3, 4))
+    assert narrow.module == module
     assert narrow.spaces == (
         StanleySpace((0, 0, 0, 0), frozenset({1})),
         StanleySpace((0, 1, 0, 0), frozenset({2})),
@@ -368,10 +399,16 @@ def test_pin_lowers_sdepth():
 
 def test_pin_rejects_a_variable_that_is_not_free():
     with pytest.raises(InputError, match=r"not free"):
-        pin(QUOTIENT_12, (1, 3), XY_MOD_4)
+        pin(QUOTIENT_12, (1, 3))
     shifted = StanleyDecomposition(XY_MOD_4, (StanleySpace((0, 0, 1, 0), frozenset({1, 2, 3, 4})),))
     with pytest.raises(InputError, match=r"pin variables \[3\]"):
-        pin(shifted, (3,), XY_MOD_4)
+        pin(shifted, (3,))
+
+
+@pytest.mark.parametrize("variables", [(0,), (5,), (3, -1)])
+def test_pin_rejects_a_variable_outside_the_ring(variables):
+    with pytest.raises(InputError, match=r"out of range 1\.\.4"):
+        pin(QUOTIENT_12, variables)
 
 
 def test_concat_layers_of_small_quotient():
@@ -429,11 +466,13 @@ def test_spaces_share_their_z_sets():
     right = decompose_power_tree(Graph.make(6, [(4, 5), (5, 6)], {4, 5, 6}), 2)
     lower = left.module.lower * right.module.upper + left.module.upper * right.module.lower
     product_module = ModulePresentation.make(6, lower, left.module.upper * right.module.upper)
-    combined = tensor(left, right, product_module)
+    combined = tensor(left, right)
+    assert combined.module == product_module
     upper = left.module.upper
-    pinned = pin(left, (4, 5), ModulePresentation.make(
+    pinned = pin(left, (4, 5))
+    assert pinned.module == ModulePresentation.make(
         6, MonomialIdeal.make(6, [(0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)]) * upper, upper
-    ))
+    )
     for dec in (combined, pinned):
         assert verify(dec).valid
         objects, values = distinct_z_counts(dec)
