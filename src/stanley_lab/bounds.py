@@ -161,6 +161,26 @@ def _sdepth_bound_with_source(graph: Graph, k: int, kind: str) -> tuple[int, str
     return lower_sdepth_quotient_layers(graph), "layer-lower-bound"
 
 
+def _oracle_verdict(
+    report: BoundReport, module: ModulePresentation, budget: int, threshold: int,
+    verdicts: tuple[str, str, str], fields: dict,
+) -> BoundReport:
+    """report with the exact oracle's answer added to its oracle, and its verdict.
+
+    The verdict is the first when the value reaches threshold, the second when
+    an exact value falls short, and the third (a truncated search) otherwise.
+    Only the second carries a witness: the module, fields, and the value.
+    """
+    result = sdepth_exact(module, budget)
+    report.oracle.update(sdepth=result.value, sdepth_exact=result.exact)
+    if result.value >= threshold:
+        return report._replace(verdict=verdicts[0])
+    if not result.exact:
+        return report._replace(verdict=verdicts[2])
+    witness = {"module": module.to_json(), **fields, "sdepth": result.value}
+    return report._replace(verdict=verdicts[1], witness=witness)
+
+
 def stanley_verdict(
     kind: str, graph: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
@@ -178,26 +198,13 @@ def stanley_verdict(
     bound, bound_source = _sdepth_bound_with_source(graph, k, kind)
     oracle = {"depth": depth, "depth_source": depth_source,
               "sdepth_bound": bound, "sdepth_bound_source": bound_source}
+    report = BoundReport("stanley-inequality", _instance(graph, k, kind), bound, oracle, HOLDS)
     if bound >= depth:
-        return BoundReport(
-            "stanley-inequality", _instance(graph, k, kind), bound, oracle, HOLDS
-        )
+        return report
     if module is None:
         module = module_for(graph, k, kind)
-    result = sdepth_exact(module, budget)
-    oracle["sdepth"] = result.value
-    oracle["sdepth_exact"] = result.exact
-    if result.value >= depth:
-        verdict = HOLDS
-    elif result.exact:
-        verdict = FAILS
-    else:
-        verdict = INCONCLUSIVE
-    witness = None
-    if verdict == FAILS:
-        witness = {"module": module.to_json(), "depth": depth, "sdepth": result.value}
-    return BoundReport(
-        "stanley-inequality", _instance(graph, k, kind), bound, oracle, verdict, witness
+    return _oracle_verdict(
+        report, module, budget, depth, (HOLDS, FAILS, INCONCLUSIVE), {"depth": depth}
     )
 
 
@@ -217,23 +224,9 @@ def question_experiment(
         raise InputError("the graph must be connected")
     if not comps[0].bipartite:
         raise InputError("the graph must be bipartite")
-    module = module_for(graph, k, KIND_POWER)
-    result = sdepth_exact(module, budget)
-    oracle = {"sdepth": result.value, "sdepth_exact": result.exact}
-    if result.value >= 2:
-        verdict = EVIDENCE_FOR
-    elif result.exact:
-        verdict = COUNTEREXAMPLE
-    else:
-        verdict = INCONCLUSIVE_EVIDENCE
-    witness = None
-    if verdict == COUNTEREXAMPLE:
-        witness = {"module": module.to_json(), "sdepth": result.value}
-    return BoundReport(
-        "bipartite-power-question",
-        _instance(graph, k, KIND_POWER),
-        2,
-        oracle,
-        verdict,
-        witness,
+    instance = _instance(graph, k, KIND_POWER)
+    report = BoundReport("bipartite-power-question", instance, 2, {}, EVIDENCE_FOR)
+    return _oracle_verdict(
+        report, module_for(graph, k, KIND_POWER), budget, 2,
+        (EVIDENCE_FOR, COUNTEREXAMPLE, INCONCLUSIVE_EVIDENCE), {},
     )

@@ -31,9 +31,10 @@ path: ``build_poset``, ``search_partition`` at that target, and
 ``partition_to_decomposition``.
 
 Every assembled certificate and every intermediate piece is verified: each
-public call opens a session for its request only (nested calls join it), in
-which each recursive subproblem is built once and every distinct certificate
-is verified once per request (``verify`` depends only on its value).  A failed
+public call opens a session for its request only (nested calls join it), one
+memo in which each recursive subproblem is built once and, as one more
+memoized step, every distinct certificate is verified once per request
+(``verify`` depends only on its value; a rejection is never kept).  A failed
 verification or a failed search at a theorem-guaranteed target raises
 ``ContradictionError`` because existence is proven, so the only honest
 explanations are a bug or a counterexample.
@@ -68,8 +69,8 @@ from .stanley import (
 )
 
 
-# (builder results, verified certificates) of the open request, else None.
-_SESSION: ContextVar[tuple[dict, set] | None] = ContextVar("_SESSION", default=None)
+# The open request's results, keyed by builder and arguments, else None.
+_SESSION: ContextVar[dict | None] = ContextVar("_SESSION", default=None)
 
 
 def _per_request(build):
@@ -81,36 +82,35 @@ def _per_request(build):
     def run(*args, **kwargs):
         session = _SESSION.get()
         if session is None:
-            token = _SESSION.set(({}, set()))
+            token = _SESSION.set({})
             try:
                 return run(*args, **kwargs)
             finally:
                 _SESSION.reset(token)
         key = (build, args, tuple(kwargs.items()))
-        if key not in session[0]:
-            session[0][key] = build(*args, **kwargs)
-        return session[0][key]
+        if key not in session:
+            session[key] = build(*args, **kwargs)
+        return session[key]
     return run
 
 
-def _checked(dec: StanleyDecomposition, context: str) -> StanleyDecomposition:
-    """Verify dec unless this request already has; hashes dec once when new."""
-    verified = _SESSION.get()[1]
-    known = len(verified)
-    verified.add(dec)
-    if len(verified) == known:
-        return dec
-    try:
-        report = verify(dec)
-        if not report.valid:
-            raise ContradictionError(
-                f"{context}: certificate failed verification "
-                f"({report.failure} at {report.witness})"
-            )
-    except BaseException:
-        verified.discard(dec)
-        raise
+@_per_request
+def _verified(dec: StanleyDecomposition) -> StanleyDecomposition:
+    """dec once ``verify`` accepts it; a rejection raises, so it is not kept."""
+    report = verify(dec)
+    if not report.valid:
+        raise ContradictionError(
+            f"certificate failed verification ({report.failure} at {report.witness})"
+        )
     return dec
+
+
+def _checked(dec: StanleyDecomposition, context: str) -> StanleyDecomposition:
+    """Verify dec unless this request already has; a failure names context."""
+    try:
+        return _verified(dec)
+    except ContradictionError as exc:
+        raise ContradictionError(f"{context}: {exc}") from None
 
 
 @_per_request

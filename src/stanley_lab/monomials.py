@@ -51,10 +51,6 @@ def deg_add(a: Multidegree, b: Multidegree) -> Multidegree:
     return tuple(map(add, a, b))
 
 
-def deg_lcm(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def support(a: Multidegree) -> frozenset[int]:
     """1-based variable indices with positive exponent."""
     return frozenset(j + 1 for j, e in enumerate(a) if e > 0)
@@ -154,7 +150,7 @@ class MonomialIdeal(NamedTuple):
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)
         return MonomialIdeal(
-            self.n, _reduce(deg_lcm(a, b) for a in self.gens for b in other.gens)
+            self.n, _reduce(tuple(map(max, a, b)) for a in self.gens for b in other.gens)
         )
 
     def to_json(self) -> dict:

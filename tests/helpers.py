@@ -1,10 +1,11 @@
-"""Seeded random instances, the ideal-identity fuzz and the tree-certificate
-sweep, used only by the tests."""
+"""Seeded random instances, the ideal-identity fuzz, the tree-certificate
+sweep, polarization and graph diameters, used only by the tests."""
 
 import random
 from typing import Sequence
 
 from stanley_lab import (
+    Graph,
     ModulePresentation,
     MonomialIdeal,
     StanleyDecomposition,
@@ -14,6 +15,7 @@ from stanley_lab import (
 )
 from stanley_lab.monomials import Multidegree, members_in_box, support
 from stanley_lab.sdepth import DEFAULT_BUDGET
+from stanley_lab.stanley import generator_corner
 
 
 def _random_disjoint_pair(
@@ -96,6 +98,38 @@ def reference_variables(dec: StanleyDecomposition) -> frozenset[int]:
     over the spaces of the shift's support and the variables off Z."""
     every = frozenset(range(1, dec.module.n + 1))
     return frozenset().union(*(support(s.u) | (every - s.Z) for s in dec.spaces))
+
+
+def polarize(module: ModulePresentation) -> ModulePresentation:
+    """x_i^e becomes x_(i,1)...x_(i,e) in both ideals, with c_i new variables
+    for x_i up to the generator corner c, and one where c_i = 0.  Depth and
+    Stanley depth both grow by exactly N - n for N new variables."""
+    widths = [max(c, 1) for c in generator_corner(module)]
+    N = sum(widths)
+
+    def polar(ideal: MonomialIdeal) -> MonomialIdeal:
+        return MonomialIdeal.make(N, [
+            [bit for e, w in zip(g, widths) for bit in [1] * e + [0] * (w - e)]
+            for g in ideal.gens
+        ])
+
+    return ModulePresentation(N, polar(module.lower), polar(module.upper))
+
+
+def largest_diameter(graph: Graph) -> int:
+    """The longest distance between two vertices of one component."""
+    adj = graph.adjacency()
+    longest = 0
+    for root in graph.vertices:
+        distance = {root: 0}
+        queue = [root]
+        for u in queue:  # the list is the queue: it grows while read
+            for w in adj[u]:
+                if w not in distance:
+                    distance[w] = distance[u] + 1
+                    queue.append(w)
+        longest = max(longest, *distance.values())
+    return longest
 
 
 def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:

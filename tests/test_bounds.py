@@ -1,8 +1,10 @@
 """Closed-form bounds and verdict reports."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from stanley_lab import bounds
+from stanley_lab import bounds, cli
 from stanley_lab import (
     InputError,
     ModulePresentation,
@@ -18,8 +20,12 @@ from stanley_lab import (
     stanley_verdict,
 )
 from stanley_lab.bounds import (
+    COUNTEREXAMPLE,
     EVIDENCE_FOR,
+    FAILS,
     HOLDS,
+    INCONCLUSIVE,
+    INCONCLUSIVE_EVIDENCE,
     KIND_LAYER,
     KIND_POWER,
     KIND_S_MOD,
@@ -220,6 +226,59 @@ def test_question_experiment():
     assert report.oracle["sdepth"] >= 2
     report = question_experiment(preset("path:4"), 2)
     assert report.verdict == EVIDENCE_FOR
+
+
+def _oracle_says(monkeypatch, value, exact):
+    """Make the exact oracle answer (value, exact); returns the modules it was asked."""
+    asked = []
+
+    def oracle(module, budget):
+        asked.append(module)
+        return SimpleNamespace(value=value, exact=exact)
+
+    monkeypatch.setattr(bounds, "sdepth_exact", oracle)
+    return asked
+
+
+# depth(S/I) = 2 on path:4 is above the bound p = 1, so the verdict asks the oracle
+@pytest.mark.parametrize(
+    "value, exact, verdict",
+    [(2, False, HOLDS), (1, True, FAILS), (1, False, INCONCLUSIVE), (0, False, INCONCLUSIVE)],
+)
+def test_stanley_verdict_oracle_branches(monkeypatch, capsys, value, exact, verdict):
+    asked = _oracle_says(monkeypatch, value, exact)
+    report = stanley_verdict(KIND_S_MOD, preset("path:4"), 1)
+    (module,) = asked
+    assert report.verdict == verdict
+    assert list(report.oracle.items()) == [
+        ("depth", 2), ("depth_source", "koszul"), ("sdepth_bound", 1),
+        ("sdepth_bound_source", "quotient-lower-bound"), ("sdepth", value), ("sdepth_exact", exact),
+    ]
+    if verdict == FAILS:
+        assert list(report.witness.items()) == [
+            ("module", module.to_json()), ("depth", 2), ("sdepth", value)
+        ]
+    else:
+        assert report.witness is None
+    code = cli.main(["certify", "--graph", "path:4", "--k", "1", "--kind", KIND_S_MOD])
+    assert f"verdict {verdict} " in capsys.readouterr().out
+    assert code == (1 if verdict == FAILS else 0)
+
+
+@pytest.mark.parametrize(
+    "value, exact, verdict",
+    [(2, False, EVIDENCE_FOR), (1, True, COUNTEREXAMPLE), (1, False, INCONCLUSIVE_EVIDENCE)],
+)
+def test_question_experiment_oracle_branches(monkeypatch, value, exact, verdict):
+    asked = _oracle_says(monkeypatch, value, exact)
+    report = question_experiment(preset("cycle:4"), 1)
+    (module,) = asked
+    assert report.verdict == verdict
+    assert list(report.oracle.items()) == [("sdepth", value), ("sdepth_exact", exact)]
+    if verdict == COUNTEREXAMPLE:
+        assert list(report.witness.items()) == [("module", module.to_json()), ("sdepth", value)]
+    else:
+        assert report.witness is None
 
 
 def test_question_preconditions():

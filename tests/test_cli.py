@@ -283,6 +283,17 @@ def test_sweep_jobs_below_one_is_an_input_error(jobs, capsys):
     assert f"must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [12, 20])
+def test_depth_of_a_long_monomial_quotient_exits_on_budget(tmp_path, n):
+    """S/(x_1...x_n) has the full Koszul complex on n variables as one family:
+    the scan guard exits 3 with one line before the class split starts."""
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"n": n, "lower_gens": [[1] * n], "upper_gens": [[0] * n]}))
+    out = run("depth", "--module", str(path), timeout=30)  # unguarded, n = 12 ran over 60 s
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith(f"budget exceeded: Koszul scan over {n} variables")
+    assert out.stderr.count("\n") == 1
+
 def _certificate(n, lower=(), upper=()):
     module = {"n": n, "lower_gens": list(lower), "upper_gens": list(upper)}
     return json.dumps({"module": module, "spaces": []})

@@ -417,13 +417,13 @@ def test_failed_piece_is_verified_again_in_the_same_session(monkeypatch):
     dec = decompose_power_tree(preset("path:4"), 2)
     broken = StanleyDecomposition(dec.module, dec.spaces[1:])
     monkeypatch.setattr(constructions, "verify", counting_verify)
-    token = constructions._SESSION.set(({}, set()))
+    token = constructions._SESSION.set({})
     try:
         for _ in range(2):
             with pytest.raises(ContradictionError, match="failed verification"):
                 constructions._checked(broken, "broken piece")
         assert verified == [broken, broken]
-        assert broken not in constructions._SESSION.get()[1]
+        assert broken not in constructions._SESSION.get().values()
         constructions._checked(dec, "whole")
         constructions._checked(dec, "whole again")
         assert verified == [broken, broken, dec]

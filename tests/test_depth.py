@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from stanley_lab import (
+    BudgetExceededError,
     InputError,
     MonomialIdeal,
     ModulePresentation,
@@ -18,6 +19,7 @@ from stanley_lab import (
     rank_int,
 )
 from stanley_lab.bounds import module_for
+from stanley_lab import depth
 from stanley_lab.depth import _family_ranks, scan_corner
 from stanley_lab.graphs import enumerate_labeled_graphs, preset
 from stanley_lab.monomials import Box, iter_box
@@ -298,3 +300,25 @@ def test_depth_exact_reads_no_degree_table(monkeypatch):
     with pytest.raises(AssertionError, match="per-degree table"):
         homology_profile(module)  # the full profile does read it
     assert depth_exact(module) == expected == 0
+
+
+def test_scan_guard_charges_split_and_largest_family(monkeypatch):
+    """S/(x_1 x_2 x_3): 8 box points times 2^3 shifted sets, plus the full
+    Koszul family's matrices 3x1, 3x3 and 1x3 at 1, 3 and 1 pivots: 97 steps."""
+    module = ModulePresentation.quotient_ring(MonomialIdeal.make(3, [(1, 1, 1)]))
+    monkeypatch.setattr(depth, "KOSZUL_STEP_CAP", 97)
+    assert depth_exact(module) == 2
+    monkeypatch.setattr(depth, "KOSZUL_STEP_CAP", 96)
+    with pytest.raises(BudgetExceededError, match="needs over 96 steps"):
+        depth_exact(module)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_scan_guard_stops_before_any_rank(monkeypatch, n):
+    def no_rank(*args):
+        raise AssertionError("a family was ranked")
+
+    monkeypatch.setattr(depth, "_family_ranks", no_rank)
+    module = ModulePresentation.quotient_ring(MonomialIdeal.make(n, [(1,) * n]))
+    with pytest.raises(BudgetExceededError, match=f"Koszul scan over {n} variables"):
+        homology_profile(module)
