@@ -53,16 +53,12 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _invocation(args: argparse.Namespace) -> list[str]:
-    return sys.argv[1:] if args.argv is None else args.argv
-
-
 def _emit(args: argparse.Namespace, result: dict, lines: list[str]) -> None:
     if args.json:
         payload = {
             "tool": "stanley-lab",
             "version": __version__,
-            "invocation": _invocation(args),
+            "invocation": args.invocation,
             "result": result,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -172,7 +168,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
     lines = []
     if args.module:
         module = ModulePresentation.from_json(load_json(args.module))
-        profile = homology_profile(module, degrees=args.debug)
+        profile = homology_profile(module)
         result["depth"] = profile.depth
         result["homology_ranks"] = list(profile.ranks)
         lines.append(f"depth = {profile.depth}")
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stanley depth of edge-ideal powers: oracles, bounds, certificates",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.set_defaults(argv=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(p):
@@ -306,8 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--k", type=int)
     p.add_argument("--kind", choices=KINDS, default=KIND_S_MOD)
-    p.add_argument("--target", type=int)
-    p.add_argument("--cert", help="write the witnessing certificate JSON here")
+    # a search at one target builds no certificate to write
+    target_or_cert = p.add_mutually_exclusive_group()
+    target_or_cert.add_argument("--target", type=int)
+    target_or_cert.add_argument("--cert", help="write the witnessing certificate JSON here")
     add_budget(p)
     p.set_defaults(func=cmd_sdepth)
 
@@ -346,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = list(argv) if argv is not None else None
+    args.invocation = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except (InputError, UndefinedValueError) as exc:
@@ -362,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"CLAIM FAILURE: {exc}", file=sys.stderr)
         return EXIT_CLAIM
     except Exception:  # a bug, not a failed claim: exit 1 keeps its meaning
-        print(f"internal error in: stanley-lab {shlex.join(_invocation(args))}", file=sys.stderr)
+        print(f"internal error in: stanley-lab {shlex.join(args.invocation)}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -154,12 +154,9 @@ def decompose_layer(
     if _module_is_zero(graph, k, KIND_LAYER):
         return StanleyDecomposition(module, ())
     comps = [c for c in graph.components() if c.edges]
-    if not comps:
-        # zero edge ideal and a nonzero layer: k = 0 and the module is the ring
-        space = StanleySpace((0,) * graph.n, shared_z(frozenset(range(1, graph.n + 1))))
-        return _checked(StanleyDecomposition(module, (space,)), "the ring as layer 0")
     # sub drops the isolated vertices but keeps the edges and n, so its module
     # is this one; the oracle counts the vertices off sub toward its target
+    # (all n of them for the ring, layer 0 of an edgeless graph)
     sub = _induced(graph, (v for c in comps for v in c.vertices))
     bipartite = [c for c in comps if c.bipartite]
     if len(comps) == 1 or not bipartite:

@@ -58,20 +58,31 @@ def rank_int(rows: list[list[int]]) -> int:
 
 
 class HomologyProfile(NamedTuple):
-    """Koszul homology ranks per index: ``ranks`` sums them over the scan box,
-    which holds all homology, and ``degrees`` maps each scanned multidegree
-    with nonzero homology to its ranks, in lexicographic order; it is empty
-    unless ``homology_profile`` was asked for it.
+    """Koszul homology ranks per index: ``ranks`` sums them over the scan
+    ``box``, which holds all homology, and ``classes`` holds each class of
+    box points with nonzero homology as (points bitset, ranks).
     """
 
     n: int
     ranks: tuple[int, ...]
-    degrees: dict[Multidegree, tuple[int, ...]]
+    box: Box
+    classes: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def depth(self) -> int:
         top = max(i for i, r in enumerate(self.ranks) if r > 0)
         return self.n - top
+
+    @property
+    def degrees(self) -> dict[Multidegree, tuple[int, ...]]:
+        """Each scanned multidegree with nonzero homology mapped to its ranks,
+        in lexicographic order, decoded from ``classes`` on each read."""
+        table = []
+        for points, homology in self.classes:
+            while points:  # classes are sparse: visit their bits, not the box
+                table.append((self.box.lowest(points), homology))
+                points &= points - 1
+        return dict(sorted(table))
 
 
 def _shifted(box: Box, bits: int, start: int, subset: int) -> Iterator[tuple[int, int]]:
@@ -108,10 +119,10 @@ def _family_ranks(n: int, family: int) -> tuple[int, ...]:
     return tuple(len(chains[s]) - bounds[s] - bounds[s + 1] for s in range(n + 1))
 
 
-def homology_profile(module: ModulePresentation, degrees: bool = True) -> HomologyProfile:
-    """Koszul homology ranks summed over the scan box, and with ``degrees``
-    those of each multidegree; without it ``degrees`` is empty.  A scan over
-    ``KOSZUL_STEP_CAP`` steps raises BudgetExceededError before it starts."""
+def homology_profile(module: ModulePresentation) -> HomologyProfile:
+    """Koszul homology ranks summed over the scan box, with the classes that
+    carry them.  A scan over ``KOSZUL_STEP_CAP`` steps raises
+    BudgetExceededError before it starts."""
     n = module.n
     box = Box(scan_corner(module))
     basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
@@ -143,18 +154,15 @@ def homology_profile(module: ModulePresentation, degrees: bool = True) -> Homolo
                 split.append((points ^ inside, family))
         classes = split
     ranks = [0] * (n + 1)
-    table = []
+    nonzero = []
     for points, family in classes:
         homology = _family_ranks(n, family)
         if any(homology):
             ranks = [r + points.bit_count() * h for r, h in zip(ranks, homology)]
-            while degrees and points:  # classes are sparse: visit their bits, not the box
-                table.append((box.lowest(points), homology))
-                points &= points - 1
-    table.sort()
-    return HomologyProfile(n, tuple(ranks), dict(table))
+            nonzero.append((points, homology))
+    return HomologyProfile(n, tuple(ranks), box, tuple(nonzero))
 
 
 def depth_exact(module: ModulePresentation) -> int:
-    return homology_profile(module, degrees=False).depth
+    return homology_profile(module).depth
 

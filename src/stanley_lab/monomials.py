@@ -13,7 +13,7 @@ from itertools import compress, groupby, product as lattice_product
 from operator import add, le, mul, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExceededError, InputError, as_int, malformed, quote
+from .errors import BudgetExceededError, InputError, as_int, quote
 
 Multidegree = tuple[int, ...]
 
@@ -29,13 +29,13 @@ MAX_VARIABLES = BOX_POINT_CAP.bit_length() - 1
 _SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def as_degree(exponents: Sequence[int], n: int | None = None) -> Multidegree:
-    """A validated exponent tuple, optionally of length n; an exponent that
-    is not an int (a bool, float or str) is rejected, not coerced."""
+def as_degree(exponents: Sequence[int], n: int) -> Multidegree:
+    """A validated exponent tuple of length n; an exponent that is not an
+    int (a bool, float or str) is rejected, not coerced."""
     deg = tuple(map(as_int, exponents))
     if deg and min(deg) < 0:
         raise InputError(f"negative exponent in {quote(deg)}")
-    if n is not None and len(deg) != n:
+    if len(deg) != n:
         raise InputError(f"expected a multidegree of length {n}, got {quote(deg)}")
     return deg
 
@@ -152,14 +152,6 @@ class MonomialIdeal(NamedTuple):
         return MonomialIdeal(
             self.n, _reduce(tuple(map(max, a, b)) for a in self.gens for b in other.gens)
         )
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "gens": [list(g) for g in self.gens]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MonomialIdeal":
-        with malformed("ideal", obj):
-            return cls.make(as_int(obj["n"]), obj["gens"])
 
 
 def _tile(block: int, width: int, count: int) -> int:

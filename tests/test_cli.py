@@ -122,6 +122,17 @@ def test_sdepth_writes_certificate(tmp_path):
     assert check.returncode == 0
 
 
+def test_sdepth_target_with_cert_is_an_input_error(tmp_path):
+    cert = tmp_path / "out.json"
+    out = run(
+        "sdepth", "--graph", "path:3", "--k", "2", "--kind", "power",
+        "--target", "2", "--cert", str(cert),
+    )
+    assert out.returncode == 2
+    assert "not allowed with argument" in out.stderr
+    assert not cert.exists()
+
+
 def test_sdepth_budget_exhaustion_exit_code():
     out = run(
         "sdepth", "--graph", "cycle:4", "--k", "2", "--kind", "s-mod-power",

@@ -71,6 +71,15 @@ def test_layer_zero_module_is_empty():
     assert dec.spaces == ()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_edgeless_graph_certificates_are_the_ring(n):
+    graph = Graph.make(n, [])
+    ring = (StanleySpace((0,) * n, frozenset(range(1, n + 1))),)
+    for dec in (decompose_layer(graph, 0), decompose_s_mod_power(graph, 2)):
+        assert dec.spaces == ring
+        assert checked(dec).sdepth == n
+
+
 def test_layer_handles_isolated_vertices():
     graph = Graph.make(4, [(1, 2)])
     dec = decompose_layer(graph, 1)

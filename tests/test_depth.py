@@ -279,27 +279,25 @@ def _small_graph_modules():
                     yield module_for(graph, k, "layer")
 
 
-def test_ranks_only_profile_matches_the_full_profile():
+def test_profile_ranks_are_the_column_sums_of_its_degrees():
     checked = 0
     for module in _small_graph_modules():
-        full = homology_profile(module)
-        ranks_only = homology_profile(module, degrees=False)
-        assert ranks_only.ranks == full.ranks
-        assert ranks_only.degrees == {}
+        profile = homology_profile(module)
+        assert profile.ranks == tuple(map(sum, zip(*profile.degrees.values())))
         checked += 1
     assert checked == 75 * 3 + 71 * 7
 
 
-def test_depth_exact_reads_no_degree_table(monkeypatch):
+def test_degree_table_is_decoded_only_on_read(monkeypatch):
     def no_lowest(self, bits):
-        raise AssertionError("depth_exact built the per-degree table")
+        raise AssertionError("the per-degree table was decoded")
 
     module = module_for(preset("cycle:3"), 2, "s-mod-power")
-    expected = depth_exact(module)
     monkeypatch.setattr(Box, "lowest", no_lowest)
+    profile = homology_profile(module)
+    assert depth_exact(module) == profile.depth == 0
     with pytest.raises(AssertionError, match="per-degree table"):
-        homology_profile(module)  # the full profile does read it
-    assert depth_exact(module) == expected == 0
+        profile.degrees
 
 
 def test_scan_guard_charges_split_and_largest_family(monkeypatch):

@@ -59,7 +59,7 @@ def test_minimalize_matches_bruteforce(gens):
 
 def test_as_degree_validates():
     assert as_degree([1, 0, 2], 3) == (1, 0, 2)
-    assert as_degree([]) == ()
+    assert as_degree([], 0) == ()
     for bad in (["1", "0", "2"], [1, 2.5, 0], [1.0, 0, 0], [True, 0, 0]):
         with pytest.raises(InputError, match="expected an integer"):
             as_degree(bad, 3)
@@ -115,12 +115,6 @@ def test_members_in_box_matches_contains():
 def test_members_in_box_caps_the_box():
     with pytest.raises(BudgetExceededError):
         members_in_box(MonomialIdeal.make(3, [(1, 1, 1)]), (1000, 1000, 1000))
-
-
-def test_json_roundtrip():
-    obj = (P3**2).to_json()
-    assert obj == {"n": 3, "gens": [[0, 2, 2], [1, 2, 1], [2, 2, 0]]}
-    assert MonomialIdeal.from_json(obj) == P3**2
 
 
 small_degrees = st.lists(
