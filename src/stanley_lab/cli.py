@@ -164,6 +164,8 @@ def cmd_sdepth(args: argparse.Namespace) -> int:
 
 
 def cmd_depth(args: argparse.Namespace) -> int:
+    if args.debug and not args.module:
+        raise InputError("--debug dumps the degree table of a module: provide --module")
     result: dict = {}
     lines = []
     if args.module:

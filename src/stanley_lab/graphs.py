@@ -198,34 +198,30 @@ def parse_graph(text: str) -> Graph:
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled simple graphs on vertices 1..n, in bitmask order."""
+    """All 2^C(n,2) labeled simple graphs on vertices 1..n, in bitmask order.
+    ``n`` is checked once; each graph's edges are sorted and in range."""
+    vertices = Graph.make(n, ()).vertices
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
-        yield Graph.make(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        yield Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1), vertices)
 
 
-def _prufer_to_edges(seq: Sequence[int], n: int) -> list[Edge]:
-    degree = [1] * (n + 1)
+def _prufer_to_edges(seq: Sequence[int], n: int) -> tuple[Edge, ...]:
+    """The sorted edges of the tree on 1..n with Pruefer sequence ``seq``:
+    each entry in turn is joined to the least leaf left, which is removed;
+    the last two vertices left are joined."""
+    degree = [1] * (n + 1)  # index 0 unused; a removed leaf has degree 0
     for v in seq:
         degree[v] += 1
     edges = []
-    ptr = 1
-    leaf = 0
     for v in seq:
-        if leaf == 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
+        leaf = degree.index(1, 1)
         edges.append((min(leaf, v), max(leaf, v)))
-        degree[v] -= 1
         degree[leaf] = 0
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = 0
-    last = [v for v in range(1, n + 1) if degree[v] == 1]
-    edges.append((last[0], last[1]))
-    return edges
+        degree[v] -= 1
+    last = degree.index(1, 1)
+    edges.append((last, degree.index(1, last + 1)))
+    return tuple(sorted(edges))
 
 
 def canonical_tree_form(g: Graph) -> str:
@@ -281,16 +277,19 @@ def enumerate_trees(n: int) -> list[Graph]:
     The walk over the n^(n-2) Pruefer sequences keeps each tree whose class
     (``canonical_tree_form``) is new, and stops once it has kept
     ``free_tree_count(n)`` trees: the list equals the one a full walk keeps.
+    ``n`` is checked once, by ``Graph.make``; each decoded tree is built
+    directly, its edges already sorted and in range.
     """
     if n < 1:
         raise InputError("trees need at least one vertex")
+    edgeless = Graph.make(n, ())
     if n == 1:
-        return [Graph.make(1, [])]
+        return [edgeless]
     total = free_tree_count(n)
     trees = []
     seen = set()
     for seq in cartesian(range(1, n + 1), repeat=n - 2):
-        g = Graph.make(n, _prufer_to_edges(seq, n))
+        g = Graph(n, _prufer_to_edges(seq, n), edgeless.vertices)
         key = canonical_tree_form(g)
         if key not in seen:
             seen.add(key)

@@ -142,7 +142,7 @@ class MonomialIdeal(NamedTuple):
     def __pow__(self, k: int) -> "MonomialIdeal":
         if k < 0:
             raise InputError(f"negative power {k}")
-        out = self if k else MonomialIdeal.unit(self.n)
+        out = self if k else MonomialIdeal(self.n, ((0,) * self.n,))
         for _ in range(k - 1):
             out = out * self
         return out

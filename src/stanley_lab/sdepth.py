@@ -30,6 +30,7 @@ is a distinct tri-state outcome, never a silent failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, product as lattice_product
 from operator import eq
 from typing import NamedTuple
@@ -53,16 +54,24 @@ _MEMO_CAP = 2_000_000
 POSET_BIT_CAP = 64 * BOX_POINT_CAP
 
 
-class _Closure:
-    """``up`` or ``down`` of a poset: the first read of either builds both
-    from the poset's box and stores them on the poset, where they shadow
-    this descriptor from then on."""
+@dataclass(frozen=True)
+class CharacteristicPoset:
+    """Elements in degree-lexicographic order; ``ranks[i]`` is rho of element
+    i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i.
+    The closures are built from ``box``, the box [0, g], on first read."""
 
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
+    n: int
+    g: Multidegree
+    elements: tuple[Multidegree, ...]
+    ranks: tuple[int, ...]
+    box: Box = field(compare=False, repr=False)
+    up = cached_property(lambda self: self._closures[0])
+    down = cached_property(lambda self: self._closures[1])
 
-    def __get__(self, poset: CharacteristicPoset, owner: type) -> tuple[int, ...]:
-        box, elements = poset.box, poset.elements
+    @cached_property
+    def _closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(up, down)``, both built by the first read of either."""
+        box, elements = self.box, self.elements
         where = {box.index(e): i for i, e in enumerate(elements)}
         # steps[i]: the elements e_i + e_j, one box stride above e_i
         steps = [
@@ -77,24 +86,7 @@ class _Closure:
         for i, row in enumerate(steps):
             for k in row:
                 down[k] |= down[i]
-        object.__setattr__(poset, "up", tuple(up))  # past the frozen guard, as __init__ does
-        object.__setattr__(poset, "down", tuple(down))
-        return getattr(poset, self.name)
-
-
-@dataclass(frozen=True)
-class CharacteristicPoset:
-    """Elements in degree-lexicographic order; ``ranks[i]`` is rho of element
-    i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i.
-    The closures are built from ``box``, the box [0, g], on first read."""
-
-    n: int
-    g: Multidegree
-    elements: tuple[Multidegree, ...]
-    ranks: tuple[int, ...]
-    box: Box = field(compare=False, repr=False)
-    up = _Closure()
-    down = _Closure()
+        return tuple(up), tuple(down)
 
     def rho(self, b: Multidegree) -> int:
         """Count of coordinates pinned at the box corner (free ones included)."""

@@ -54,12 +54,12 @@ class ModulePresentation(NamedTuple):
     @classmethod
     def quotient_ring(cls, ideal: MonomialIdeal) -> "ModulePresentation":
         """S/I; I lies in the unit ideal S by construction."""
-        return cls(ideal.n, ideal, MonomialIdeal.unit(ideal.n))
+        return cls(ideal.n, ideal, MonomialIdeal(ideal.n, ((0,) * ideal.n,)))
 
     @classmethod
     def of_ideal(cls, ideal: MonomialIdeal) -> "ModulePresentation":
         """I as a module; the zero ideal lies in I by construction."""
-        return cls(ideal.n, MonomialIdeal.zero(ideal.n), ideal)
+        return cls(ideal.n, MonomialIdeal(ideal.n, ()), ideal)
 
     @classmethod
     def power_layer(cls, ideal: MonomialIdeal, k: int) -> "ModulePresentation":
@@ -263,12 +263,13 @@ def tensor(d1: StanleyDecomposition, d2: StanleyDecomposition) -> StanleyDecompo
 
 def shift(dec: StanleyDecomposition, m: Sequence[int]) -> StanleyDecomposition:
     """Multiply every space by x^m: (u, Z) -> (u + m, Z), a decomposition of
-    x^m U / x^m L."""
+    x^m U / x^m L.  Only m is checked: moving the generators of an ideal by m
+    keeps them minimal and in lexicographic order."""
     n, lower, upper = dec.module
-    monomial = MonomialIdeal.make(n, [m])  # validates m as a multidegree of length n
-    (deg,) = monomial.gens
-    spaces = tuple(StanleySpace(deg_add(s.u, deg), s.Z) for s in dec.spaces)
-    return StanleyDecomposition(ModulePresentation(n, monomial * lower, monomial * upper), spaces)
+    m = as_degree(m, n)
+    moved = (MonomialIdeal(n, tuple(deg_add(g, m) for g in ideal.gens)) for ideal in (lower, upper))
+    spaces = tuple(StanleySpace(deg_add(s.u, m), s.Z) for s in dec.spaces)
+    return StanleyDecomposition(ModulePresentation(n, *moved), spaces)
 
 
 def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposition:
@@ -283,7 +284,8 @@ def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposi
         raise InputError(f"cannot pin variables {sorted(clash)} that are not free")
     cut = {z: shared_z(z - ws) for z in {s.Z for s in dec.spaces}}
     spaces = tuple(StanleySpace(s.u, cut[s.Z]) for s in dec.spaces)
-    pinned = MonomialIdeal.make(n, [[int(j == w) for j in range(1, n + 1)] for w in ws])
+    units = sorted(tuple(int(j == w) for j in range(1, n + 1)) for w in ws)
+    pinned = MonomialIdeal(n, tuple(units))  # distinct unit vectors are minimal
     return StanleyDecomposition(ModulePresentation(n, lower + pinned * upper, upper), spaces)
 
 

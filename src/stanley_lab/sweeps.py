@@ -71,8 +71,8 @@ def isomorphism_classes(n: int) -> tuple[tuple[Graph, Graph], ...]:
     ]
     rep_of: dict[int, Graph] = {}
     out = []
-    for graph in sorted(enumerate_labeled_graphs(n), key=lambda g: g.edges):
-        mask = sum(map(bit.__getitem__, graph.edges))
+    # a graph's position in the bitmask-order enumeration is its edge mask
+    for mask, graph in sorted(enumerate(enumerate_labeled_graphs(n)), key=lambda p: p[1].edges):
         rep = rep_of.get(mask)
         if rep is None:
             rep = graph

@@ -132,6 +132,25 @@ def largest_diameter(graph: Graph) -> int:
     return longest
 
 
+def prufer_code(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The Pruefer sequence of a tree on 1..n: n - 2 times, the least leaf
+    is removed and its neighbor recorded.  ``others[v]`` is the XOR of v's
+    remaining neighbors, so a leaf's is its one neighbor."""
+    degree, others = [0] * (n + 1), [0] * (n + 1)
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+        others[i] ^= j
+        others[j] ^= i
+    code = []
+    for _ in range(n - 2):
+        leaf = degree.index(1)
+        v = others[leaf]
+        degree[leaf], degree[v], others[v] = 0, degree[v] - 1, others[v] ^ leaf
+        code.append(v)
+    return tuple(code)
+
+
 def random_presentations(count: int, seed: int = 0) -> list[ModulePresentation]:
     """Seeded nonzero random presentations lower <= upper for coherence checks."""
     rng = random.Random(seed)

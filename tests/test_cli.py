@@ -165,6 +165,14 @@ def test_depth_debug_table(tmp_path):
     ]
 
 
+def test_depth_debug_without_module_is_an_input_error():
+    out = run("depth", "--trung", "cycle:3", "2", "--debug")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    (line,) = out.stderr.splitlines()
+    assert "--module" in line
+
+
 def test_depth_debug_reads_profile(tmp_path):
     mod = tmp_path / "mod.json"
     module = ModulePresentation.quotient_ring(MonomialIdeal.make(3, [(1, 1, 0), (0, 1, 1)]))

@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from helpers import prufer_code
 from stanley_lab import Graph, InputError, MonomialIdeal, disjoint_union, parse_graph, preset
 from stanley_lab.graphs import (
     Component,
@@ -175,6 +176,41 @@ def exhaustive_trees(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_enumerate_trees_stops_at_the_last_class(n):
     assert enumerate_trees(n) == exhaustive_trees(n)
+
+
+def test_prufer_decoding_round_trips():
+    """Every sequence for n <= 8 decodes to the sorted edges of a tree whose
+    Pruefer sequence it is."""
+    decoded = 0
+    for n in range(2, 9):
+        for seq in product(range(1, n + 1), repeat=n - 2):
+            edges = _prufer_to_edges(seq, n)
+            assert edges == tuple(sorted(edges)) and all(i < j for i, j in edges)
+            assert prufer_code(n, edges) == seq
+            decoded += 1
+    assert decoded == sum(n ** (n - 2) for n in range(2, 9))
+
+
+def test_enumerators_check_n_once_and_build_valid_graphs(monkeypatch):
+    """``Graph.make`` runs once per enumerator call, and every graph equals
+    the graph ``make`` builds from its fields."""
+    make, calls = Graph.make, []
+
+    def counting_make(cls, *args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(Graph, "make", classmethod(counting_make))
+    cases = [(enumerate_labeled_graphs, n) for n in range(1, 6)]
+    cases += [(enumerate_trees, n) for n in range(1, 9)]
+    for enumerate_graphs, n in cases:
+        calls.clear()
+        graphs = list(enumerate_graphs(n))
+        assert len(calls) == 1
+        assert graphs and all(g == make(g.n, g.edges, g.vertices) for g in graphs)
+    for enumerate_graphs in (enumerate_labeled_graphs, enumerate_trees):
+        with pytest.raises(InputError, match=r"vertex count must be in 1\.\.24, got 25"):
+            list(enumerate_graphs(25))
 
 
 def test_free_tree_count_matches_oeis():

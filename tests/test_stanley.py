@@ -1,7 +1,7 @@
 """Presentations, Stanley spaces, the box verifier, and the combinators."""
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -24,9 +24,10 @@ from stanley_lab import (
     tensor,
     verify,
 )
+from stanley_lab.bounds import KIND_LAYER, KINDS, module_for
 from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
-from stanley_lab import stanley
+from stanley_lab import monomials, stanley
 from stanley_lab.stanley import _verification_box
 
 from helpers import basis_in_box
@@ -505,3 +506,50 @@ def test_built_in_presentations_equal_their_validated_make_forms():
                 assert ModulePresentation.power_layer(ideal, k) == make(n, next_power, power)
                 checked += 1
     assert checked == 4 * 75
+
+
+def test_shift_pin_and_module_for_build_without_the_validators(monkeypatch):
+    """With ``MonomialIdeal.make`` and ``minimalize`` patched to raise, the
+    modules that ``module_for``, ``shift`` and ``pin`` derive equal their
+    validated forms.  A combinator's module does not depend on the spaces, so
+    each module goes in with none, which leaves every variable free."""
+    cases = [
+        (graph, k, kind)
+        for n in range(1, 5)
+        for graph in enumerate_labeled_graphs(n)
+        for kind in KINDS
+        for k in range(kind != KIND_LAYER, 4)
+    ]
+
+    def moves(n):
+        return (0,) * n, tuple(range(n)), tuple(range(n, 0, -1))
+
+    def pinned_sets(n):
+        return [ws for size in range(n + 1) for ws in combinations(range(1, n + 1), size)]
+
+    def refuse(*args):
+        raise AssertionError(f"validator reached with {args}")
+
+    derived = []
+    with monkeypatch.context() as patch:
+        patch.setattr(MonomialIdeal, "make", refuse)
+        patch.setattr(monomials, "minimalize", refuse)
+        for graph, k, kind in cases:
+            module = module_for(graph, k, kind)
+            bare = StanleyDecomposition(module, ())
+            derived.append(module)
+            derived += [shift(bare, m).module for m in moves(graph.n)]
+            derived += [pin(bare, ws).module for ws in pinned_sets(graph.n)]
+    make, expected = ModulePresentation.make, []
+    for graph, k, kind in cases:
+        module = ModulePresentation.from_json(module_for(graph, k, kind).to_json())
+        n, lower, upper = module
+        expected.append(module)
+        for m in moves(n):
+            monomial = MonomialIdeal.make(n, [m])
+            expected.append(make(n, monomial * lower, monomial * upper))
+        for ws in pinned_sets(n):
+            pinned = MonomialIdeal.make(n, [[int(j == w) for j in range(1, n + 1)] for w in ws])
+            expected.append(make(n, lower + pinned * upper, upper))
+    assert len(cases) == 75 * 10
+    assert derived == expected
