@@ -30,12 +30,12 @@ of H count toward the guarantee itself.  Every oracle certificate takes one
 path: ``build_poset``, ``search_partition`` at that target, and
 ``partition_to_decomposition``.
 
-Every assembled certificate and every intermediate piece is verified: each
-public call opens a session for its request only (nested calls join it), one
-memo in which each recursive subproblem is built once and, as one more
-memoized step, every distinct certificate is verified once per request
-(``verify`` depends only on its value; a rejection is never kept).  A failed
-verification or a failed search at a theorem-guaranteed target raises
+Every assembled certificate and every intermediate piece is verified once per
+request: each public call opens a session for its request only (nested calls
+join it), one memo of the subproblems, each built once, and of the verified
+certificates (a rejection is never kept).  ``_assembled`` proves a concat and
+its pieces not yet verified in one ``verify_assembly`` walk, and records them
+there.  A failed check or a failed search at a theorem-guaranteed target raises
 ``ContradictionError`` because existence is proven, so the only honest
 explanations are a bug or a counterexample.
 """
@@ -66,18 +66,17 @@ from .stanley import (
     shift,
     tensor,
     verify,
+    verify_assembly,
 )
 
 
-# The open request's results, keyed by builder and arguments, else None.
+# The open request's memo (see ``_per_request`` and ``_checked``), else None.
 _SESSION: ContextVar[dict | None] = ContextVar("_SESSION", default=None)
 
 
 def _per_request(build):
     """Memoize by arguments for the rest of the request; exceptions are not kept.
-
-    The outermost call opens the request's session and closes it on exit.
-    """
+    The outermost call opens the request's session and closes it on exit."""
     @wraps(build)
     def run(*args, **kwargs):
         session = _SESSION.get()
@@ -94,23 +93,32 @@ def _per_request(build):
     return run
 
 
-@_per_request
-def _verified(dec: StanleyDecomposition) -> StanleyDecomposition:
-    """dec once ``verify`` accepts it; a rejection raises, so it is not kept."""
-    report = verify(dec)
-    if not report.valid:
-        raise ContradictionError(
-            f"certificate failed verification ({report.failure} at {report.witness})"
-        )
-    return dec
-
-
 def _checked(dec: StanleyDecomposition, context: str) -> StanleyDecomposition:
-    """Verify dec unless this request already has; a failure names context."""
-    try:
-        return _verified(dec)
-    except ContradictionError as exc:
-        raise ContradictionError(f"{context}: {exc}") from None
+    """dec once ``verify`` accepts it, verified once per request: the session
+    keeps ("verified", dec), and a failure names context and is not kept."""
+    session = _SESSION.get()
+    if ("verified", dec) not in session:
+        report = verify(dec)
+        if not report.valid:
+            raise ContradictionError(
+                f"{context}: certificate failed verification ({report.failure} at {report.witness})"
+            )
+        session["verified", dec] = dec
+    return session["verified", dec]
+
+
+def _assembled(module: ModulePresentation, pieces: list, context: str) -> StanleyDecomposition:
+    """The concat of the (piece, context) pairs against module, and each piece,
+    checked: one ``verify_assembly`` walk proves them all unless it rejects, and
+    then each ``_checked`` verifies on its own and names the first bad one."""
+    decs = [dec for dec, _ in pieces]
+    whole, session = concat(decs, module), _SESSION.get()
+    proven = {whole, *(dec for dec in decs if ("verified", dec) in session)}  # whole: by the walk
+    if ("verified", whole) not in session and verify_assembly(whole, decs, proven):
+        session.update((("verified", dec), dec) for dec in (whole, *decs))
+    for dec, piece_context in pieces:
+        _checked(dec, piece_context)
+    return _checked(whole, context)
 
 
 @_per_request
@@ -171,8 +179,8 @@ def decompose_layer(
     pieces = []
     for s in range(k + 1):
         piece = tensor(decompose_layer(head, s, budget), decompose_layer(rest, k - s, budget))
-        pieces.append(_checked(piece, f"layer block s={s}, t={k - s}"))
-    return _checked(concat(pieces, module), "assembled layer blocks")
+        pieces.append((piece, f"layer block s={s}, t={k - s}"))
+    return _assembled(module, pieces, "assembled layer blocks")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +197,8 @@ def decompose_s_mod_power(
     them, so the layer certificates for j < k concatenate losslessly.
     """
     module = module_for(graph, k, KIND_S_MOD)
-    layers = [decompose_layer(graph, j, budget) for j in range(k)]
-    return _checked(concat(layers, module), f"S/I^{k}")
+    layers = [(decompose_layer(graph, j, budget), f"layer {j}") for j in range(k)]
+    return _assembled(module, layers, f"S/I^{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +241,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
     # monomials without the leaf variable: the power of the smaller tree, in
     # which the leaf acts freely, with the leaf set to 0
     smaller = _tree_power(tree.delete_vertices({leaf}), k, budget)
-    pieces.append(_checked(pin(smaller, (leaf,)), "leaf-free part"))
+    pieces.append((pin(smaller, (leaf,)), "leaf-free part"))
 
     # leaf-multiples avoiding the stem: the leaf's only neighbor is the stem,
     # so dividing by the leaf lands in the power of the doubly-deleted tree,
@@ -244,14 +252,14 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
             pruned, module_for(pruned, k, KIND_POWER), 1, budget,
             "every nonzero monomial ideal has a depth-one decomposition",
         )
-        pieces.append(_checked(shift(pin(base, (stem,)), leaf_shift), "leaf-only part"))
+        pieces.append((shift(pin(base, (stem,)), leaf_shift), "leaf-only part"))
 
     # multiples of the leaf edge: the previous power, shifted by the edge
     edge_shift = tuple(int(v in (leaf, stem)) for v in range(1, n + 1))
     previous = _tree_power(tree, k - 1, budget)
-    pieces.append(_checked(shift(previous, edge_shift), "edge-multiple part"))
+    pieces.append((shift(previous, edge_shift), "edge-multiple part"))
 
-    return _checked(concat(pieces, module), f"tree power on {sorted(tree.vertices)} at k={k}")
+    return _assembled(module, pieces, f"tree power on {sorted(tree.vertices)} at k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +284,15 @@ def decompose_power_general(
 
     # layer 0 of the filtration: multiples of the rest-ideal's k-th power,
     # with the pivot variables acting freely
-    pieces = [decompose_power_general(rest_graph, k, budget)]
+    pieces = [(decompose_power_general(rest_graph, k, budget), "filtration layer 0")]
     for level in range(1, k + 1):
         base = _power_base(graph, pivot, level, budget)
         rest_layer = decompose_layer(rest_graph, k - level, budget)
         if not rest_layer.spaces:
             continue
-        pieces.append(_checked(tensor(base, rest_layer), f"filtration layer {level}"))
+        pieces.append((tensor(base, rest_layer), f"filtration layer {level}"))
 
-    return _checked(concat(pieces, module_for(graph, k, KIND_POWER)), f"power at k={k}")
+    return _assembled(module_for(graph, k, KIND_POWER), pieces, f"power at k={k}")
 
 
 @_per_request

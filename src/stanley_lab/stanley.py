@@ -15,8 +15,8 @@ which keeps lower <= upper, so only ``make``, for input, scans for it.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, as_int, malformed, quote
 from .monomials import (
@@ -163,9 +163,9 @@ class VerificationReport(NamedTuple):
         return {**self._asdict(), "witness": witness}
 
 
-def _verification_box(dec: StanleyDecomposition) -> Multidegree:
-    shifts = (s.u for s in dec.spaces)
-    return tuple(max(col) + 1 for col in zip(generator_corner(dec.module), *shifts))
+def _verification_box(dec: StanleyDecomposition, *modules: ModulePresentation) -> Multidegree:
+    corners = map(generator_corner, (dec.module, *modules))
+    return tuple(max(col) + 1 for col in zip(*corners, *(s.u for s in dec.spaces)))
 
 
 def _check_spaces(spaces: Sequence[StanleySpace], n: int) -> None:
@@ -192,6 +192,23 @@ def _check_spaces(spaces: Sequence[StanleySpace], n: int) -> None:
             raise InputError(f"space variables {quote(sorted(s.Z))} out of range 1..{n}")
 
 
+def _basis(box: Box, module: ModulePresentation) -> int:
+    return box.up(module.upper.gens) & ~box.up(module.lower.gens)
+
+
+def _cones(box: Box, spaces: Iterable[StanleySpace]) -> Iterator[int]:
+    """The points of each space (u, Z) in the box, in order: the AND over the
+    axes j of the level mask ``a_j >= u_j`` for j in Z and ``a_j == u_j``
+    otherwise, from one ``Box.levels`` table; when that table would exceed
+    ``BOX_POINT_CAP`` bits, each space is tiled from u by ``Box.cone``."""
+    levels = box.levels()
+    for s in spaces:
+        cone = -1 if levels else box.cone(s.u, (z - 1 for z in s.Z))
+        for j, (v, eq_ge) in enumerate(zip(s.u, levels or ()), 1):
+            cone &= eq_ge[j in s.Z][v]  # -1 is all ones, cut to the box by the first mask
+        yield cone
+
+
 def verify(dec: StanleyDecomposition) -> VerificationReport:
     """Check that the spaces partition the module basis exactly.
 
@@ -200,33 +217,18 @@ def verify(dec: StanleyDecomposition) -> VerificationReport:
     Clamping any multidegree into the box preserves all membership
     predicates, so agreement on the box implies agreement everywhere.
 
-    The box is a ``Box`` bitset whose bit order is the lexicographic order of
-    its points.  The basis is ``up(upper) & ~up(lower)``.  A space (u, Z) is
-    the AND over the axes j of the level mask ``a_j >= u_j`` for j in Z and
-    ``a_j == u_j`` otherwise, read from ``Box.levels``, which is built once
-    per call.  That table holds 2 * sum(B_j + 1) box bitsets; when it would
-    exceed ``BOX_POINT_CAP`` bits, each space is instead tiled from its
-    corner point by ``Box.cone``.  Spaces are checked in order against the
-    basis points not yet covered; the first bad space reports its lowest bad
-    bit, which is the lexicographically first of its points that is outside
-    the module or already covered.  That is the point, and the failure kind,
-    at which a point-by-point walk of the spaces in order would stop; an
+    The box is a ``Box`` bitset in lexicographic bit order; the basis is
+    ``up(upper) & ~up(lower)``.  Spaces (see ``_cones``) are checked in order
+    against the basis points not yet covered; the first bad space reports its
+    lowest bad bit, the lexicographically first of its points outside the
+    module or already covered, where a point-by-point walk would stop; an
     uncovered witness is likewise the least uncovered basis point.  Boxes over
     ``BOX_POINT_CAP`` points raise BudgetExceededError before any allocation.
     """
-    n = dec.module.n
-    _check_spaces(dec.spaces, n)
+    _check_spaces(dec.spaces, dec.module.n)
     box = Box(_verification_box(dec))
-    basis = box.up(dec.module.upper.gens) & ~box.up(dec.module.lower.gens)
-    levels = box.levels()
-    remaining = basis
-    for s in dec.spaces:
-        if levels is None:
-            cone = box.cone(s.u, (z - 1 for z in s.Z))
-        else:
-            cone = -1  # all ones, cut down to the box by the first mask
-            for j, (v, eq_ge) in enumerate(zip(s.u, levels), 1):
-                cone &= eq_ge[j in s.Z][v]
+    basis = remaining = _basis(box, dec.module)
+    for cone in _cones(box, dec.spaces):
         bad = cone & ~remaining
         if bad:
             failure = "double-covered" if bad & -bad & basis else "outside-module"
@@ -235,6 +237,28 @@ def verify(dec: StanleyDecomposition) -> VerificationReport:
     if remaining:
         return VerificationReport(False, None, box.lowest(remaining), "uncovered")
     return VerificationReport(True, dec.sdepth())
+
+
+def verify_assembly(whole: StanleyDecomposition, pieces: Sequence, proven: Container) -> bool:
+    """Whether whole and each piece not in ``proven`` pass ``verify``, from one
+    walk of whole on one box that bounds them all (Herzog-Vladoiu-Zheng); False
+    unless whole's spaces are the pieces' in order, all over one n.  Each piece's
+    spaces must take from the basis points not yet covered exactly its basis."""
+    n, spaces = whole.module.n, tuple(chain.from_iterable(p.spaces for p in pieces))
+    if whole.spaces != spaces or any(p.module.n != n for p in pieces):
+        return False
+    _check_spaces(spaces, n)
+    box = Box(_verification_box(whole, *(p.module for p in pieces)))
+    remaining, cones = _basis(box, whole.module), _cones(box, spaces)
+    for piece in pieces:
+        before = remaining
+        for cone in islice(cones, len(piece.spaces)):
+            if cone & ~remaining:
+                return False
+            remaining ^= cone
+        if piece not in proven and before ^ remaining != _basis(box, piece.module):
+            return False
+    return not remaining
 
 
 def tensor(d1: StanleyDecomposition, d2: StanleyDecomposition) -> StanleyDecomposition:
@@ -276,7 +300,7 @@ def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposi
     """Fix variables W that act freely in dec at exponent 0: (u, Z) -> (u, Z - W),
     a decomposition of U / (L + x_W U)."""
     n, lower, upper = dec.module
-    ws = frozenset(int(v) for v in variables)
+    ws = frozenset(map(as_int, variables))
     if not ws <= frozenset(range(1, n + 1)):
         raise InputError(f"pin variables {sorted(ws)} out of range 1..{n}")
     clash = ws & dec.variables()
@@ -293,9 +317,7 @@ def concat(
     decs: Sequence[StanleyDecomposition], module: ModulePresentation
 ) -> StanleyDecomposition:
     """Concatenate space lists against a caller-supplied target presentation.
-
-    Directness is not assumed; the assembled certificate is meant to be
-    re-checked with ``verify``.
-    """
+    Directness is not assumed: check the result with ``verify``, or with its
+    pieces in one walk with ``verify_assembly``."""
     spaces = tuple(chain.from_iterable(d.spaces for d in decs))
     return StanleyDecomposition(module, spaces)

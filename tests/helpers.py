@@ -1,5 +1,6 @@
 """Seeded random instances, the ideal-identity fuzz, the tree-certificate
-sweep, polarization and graph diameters, used only by the tests."""
+sweep, the certify-trees request set, polarization and graph diameters, used
+only by the tests."""
 
 import random
 from typing import Sequence
@@ -9,7 +10,9 @@ from stanley_lab import (
     ModulePresentation,
     MonomialIdeal,
     StanleyDecomposition,
+    decompose_power_general,
     decompose_power_tree,
+    decompose_s_mod_power,
     enumerate_trees,
     verify,
 )
@@ -199,3 +202,32 @@ def sweep_tree_certificates(
                     }
                 )
     return rows
+
+
+# The three 6-vertex graphs that perfbench's certify-trees workload draws from
+# its pool at seed 0.
+CERTIFY_SEED0_GRAPHS = (
+    ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6)),
+    ((1, 4), (1, 5), (2, 3), (4, 6), (5, 6)),
+    ((1, 5), (1, 6), (2, 3), (2, 4), (3, 4), (5, 6)),
+)
+
+
+def certify_trees_requests() -> list[tuple]:
+    """(generator, graph, k) of each certificate request of one seed-0
+    certify-trees pass, in its order: every tree on 2..6 vertices at
+    k = 1, 2, 3, then I^2, S/I^2 and S/I^3 of each seed-0 graph."""
+    requests = [
+        (decompose_power_tree, tree, k)
+        for n in range(2, 7)
+        for tree in enumerate_trees(n)
+        for k in (1, 2, 3)
+    ]
+    for edges in CERTIFY_SEED0_GRAPHS:
+        graph = Graph.make(6, edges)
+        requests += [
+            (decompose_power_general, graph, 2),
+            (decompose_s_mod_power, graph, 2),
+            (decompose_s_mod_power, graph, 3),
+        ]
+    return requests

@@ -3,6 +3,7 @@ certified bound, and never overshoots the exact oracle."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,7 @@ from stanley_lab.bounds import KIND_POWER, KINDS, module_for
 from stanley_lab.graphs import Graph, enumerate_trees, parse_graph, preset
 from stanley_lab.sdepth import build_poset, partition_to_decomposition, search_partition
 
-from helpers import reference_sdepth, reference_variables
+from helpers import certify_trees_requests, reference_sdepth, reference_variables
 
 MULTI_COMPONENT = ("cycle:3+path:3", "path:3+path:2", "cycle:4+path:2")
 
@@ -368,11 +369,15 @@ def test_oracle_closures_are_built_only_above_the_least_rank(monkeypatch):
         (decompose_s_mod_power, "cycle:3+path:3", 3),
         (decompose_power_general, "path:2+path:2+path:2", 2),
         (decompose_layer, "path:2+path:2+path:2", 2),
+        (decompose_power_tree, "path:5", 3),
     ],
 )
 def test_each_distinct_certificate_verified_once(monkeypatch, build, spec, k):
+    """Every proof counts: a ``verify`` call, or a certificate that an accepted
+    ``verify_assembly`` walk proves (the whole and each piece not proven)."""
     reached, verified = [], []
     real_checked, real_verify = constructions._checked, constructions.verify
+    real_assembly = constructions.verify_assembly
 
     def counting_checked(dec, context):
         reached.append((dec.module, dec.spaces))
@@ -382,8 +387,16 @@ def test_each_distinct_certificate_verified_once(monkeypatch, build, spec, k):
         verified.append((dec.module, dec.spaces))
         return real_verify(dec)
 
+    def counting_assembly(whole, pieces, proven):
+        valid = real_assembly(whole, pieces, proven)
+        if valid:
+            new = [whole, *(dec for dec in pieces if dec not in proven)]
+            verified.extend((dec.module, dec.spaces) for dec in new)
+        return valid
+
     monkeypatch.setattr(constructions, "_checked", counting_checked)
     monkeypatch.setattr(constructions, "verify", counting_verify)
+    monkeypatch.setattr(constructions, "verify_assembly", counting_assembly)
     graph = parse_graph(spec)
     build(graph, k)
     calls = len(verified)
@@ -413,6 +426,61 @@ def test_broken_combinator_raises_contradiction(monkeypatch, combinator, build, 
     with pytest.raises(ContradictionError, match="failed verification"):
         build(parse_graph(spec), k)
     assert constructions._SESSION.get() is None
+
+
+def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
+    """shift moves the last space of the leaf-only part of I^2 of path:4 to the
+    front of its edge-multiple part: the assembly is unchanged and valid, the
+    joint walk rejects it, and the message names the first bad piece."""
+    real_shift, real_assembly = constructions.shift, constructions.verify_assembly
+    stash, joint = [], []
+
+    def moving(dec, m):
+        out = real_shift(dec, m)
+        if sum(m) == 1:  # the leaf-only part
+            stash.append(out.spaces[-1])
+            return StanleyDecomposition(out.module, out.spaces[:-1])
+        if stash:  # the next edge-multiple part
+            return StanleyDecomposition(out.module, (stash.pop(), *out.spaces))
+        return out
+
+    def recorded(whole, pieces, proven):
+        joint.append((verify(whole).valid, real_assembly(whole, pieces, proven)))
+        return joint[-1][1]
+
+    monkeypatch.setattr(constructions, "shift", moving)
+    monkeypatch.setattr(constructions, "verify_assembly", recorded)
+    with pytest.raises(ContradictionError) as info:
+        decompose_power_tree(preset("path:4"), 2)
+    assert str(info.value) == (
+        "leaf-only part: certificate failed verification (uncovered at (1, 0, 2, 2))"
+    )
+    assert joint[-1] == (True, False)
+    assert constructions._SESSION.get() is None
+
+
+def test_verifier_walk_totals_pinned(monkeypatch):
+    """``verify`` calls and spaces, and ``verify_assembly`` walks and spaces,
+    summed over the seed-0 certify-trees requests: separate walks of the
+    pieces, or a skipped proof, move them."""
+    totals = Counter()
+    real_verify, real_assembly = constructions.verify, constructions.verify_assembly
+
+    def counted_verify(dec):
+        totals["verify"] += 1
+        totals["verify_spaces"] += len(dec.spaces)
+        return real_verify(dec)
+
+    def counted_assembly(whole, pieces, proven):
+        totals["joint"] += 1
+        totals["joint_spaces"] += len(whole.spaces)
+        return real_assembly(whole, pieces, proven)
+
+    monkeypatch.setattr(constructions, "verify", counted_verify)
+    monkeypatch.setattr(constructions, "verify_assembly", counted_assembly)
+    for build, graph, k in certify_trees_requests():
+        build(graph, k)
+    assert totals == {"verify": 171, "verify_spaces": 3030, "joint": 133, "joint_spaces": 6113}
 
 
 def test_failed_piece_is_verified_again_in_the_same_session(monkeypatch):

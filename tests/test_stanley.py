@@ -1,5 +1,7 @@
 """Presentations, Stanley spaces, the box verifier, and the combinators."""
 
+import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
 
@@ -27,10 +29,10 @@ from stanley_lab import (
 from stanley_lab.bounds import KIND_LAYER, KINDS, module_for
 from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
-from stanley_lab import monomials, stanley
-from stanley_lab.stanley import _verification_box
+from stanley_lab import constructions, monomials, stanley
+from stanley_lab.stanley import _verification_box, verify_assembly
 
-from helpers import basis_in_box
+from helpers import basis_in_box, certify_trees_requests
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -412,6 +414,13 @@ def test_pin_rejects_a_variable_outside_the_ring(variables):
         pin(QUOTIENT_12, variables)
 
 
+@pytest.mark.parametrize("variable", [4.9, "4", True])
+def test_pin_rejects_a_variable_that_is_not_an_integer(variable):
+    # x4 is free in QUOTIENT_12: none of these may pin it (nor, for True, x1)
+    with pytest.raises(InputError, match="expected an integer"):
+        pin(QUOTIENT_12, (variable,))
+
+
 def test_concat_layers_of_small_quotient():
     # stack I^0/I^1 and I^1/I^2 into S/I^2 for the single-edge ideal
     ideal = XY
@@ -435,6 +444,89 @@ def test_concat_layers_of_small_quotient():
     report = verify(stacked)
     assert report.valid and report.sdepth == 1
     assert len(stacked.spaces) == len(layer0.spaces) + len(layer1.spaces)
+
+
+@lru_cache(maxsize=1)
+def certify_assemblies():
+    """Each (whole, pieces, proven) that the seed-0 certify-trees requests pass
+    to ``verify_assembly``."""
+    seen, real = [], constructions.verify_assembly
+
+    def record(whole, pieces, proven):
+        seen.append((whole, tuple(pieces), frozenset(proven)))
+        return real(whole, pieces, proven)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructions, "verify_assembly", record)
+        for build, graph, k in certify_trees_requests():
+            build(graph, k)
+    return seen
+
+
+def with_piece(pieces, i, spaces):
+    piece = pieces[i]
+    return pieces[:i] + (StanleyDecomposition(piece.module, tuple(spaces)),) + pieces[i + 1 :]
+
+
+def corruptions(pieces, rng):
+    """(kind, corrupted pieces): per nonempty piece, the piece omitted, and one
+    seeded space dropped, duplicated and with one exponent of u bumped; per
+    adjacent pair, the last space of the first moved to the front of the second."""
+    for i, piece in enumerate(pieces):
+        spaces = list(piece.spaces)
+        if not spaces:
+            continue
+        j, axis = rng.randrange(len(spaces)), rng.randrange(piece.module.n)
+        s = spaces[j]
+        bumped = StanleySpace(tuple(e + (a == axis) for a, e in enumerate(s.u)), s.Z)
+        yield "omit", pieces[:i] + pieces[i + 1 :]
+        yield "drop", with_piece(pieces, i, spaces[:j] + spaces[j + 1 :])
+        yield "duplicate", with_piece(pieces, i, spaces[: j + 1] + spaces[j:])
+        yield "bump", with_piece(pieces, i, spaces[:j] + [bumped] + spaces[j + 1 :])
+        if i + 1 < len(pieces):
+            moved = with_piece(pieces, i, spaces[:-1])
+            yield "move", with_piece(moved, i + 1, (spaces[-1], *pieces[i + 1].spaces))
+
+
+def test_verify_assembly_accepts_exactly_when_each_new_part_verifies():
+    """On every assembly of the seed-0 certify-trees requests and on each of its
+    corruptions, one joint walk accepts exactly when the whole and each piece
+    not proven pass a separate ``verify``."""
+    rng, outcomes = random.Random(0), Counter()
+    assemblies = certify_assemblies()
+    assert len(assemblies) == 133
+    for whole, pieces, proven in assemblies:
+        assert verify_assembly(whole, pieces, proven)
+        assert verify(whole).valid and all(verify(p).valid for p in pieces)
+        for kind, bad in corruptions(pieces, rng):
+            spaces = tuple(s for p in bad for s in p.spaces)
+            bad_whole = StanleyDecomposition(whole.module, spaces)
+            new = [p for p in bad if p not in proven]
+            expected = verify(bad_whole).valid and all(verify(p).valid for p in new)
+            assert verify_assembly(bad_whole, bad, proven) == expected, kind
+            outcomes[kind, expected] += 1
+            if kind == "move":
+                # the whole is unchanged and valid; both moved pieces are not,
+                # and only taking them as proven lets the walk accept
+                changed = [p for p, q in zip(bad, pieces) if p != q]
+                assert bad_whole == whole and len(changed) == 2
+                assert not any(verify(p).valid for p in changed)
+                assert verify_assembly(bad_whole, bad, proven | set(changed))
+    assert {kind for kind, expected in outcomes if not expected} == {
+        "omit", "drop", "duplicate", "bump", "move"
+    }
+    assert outcomes["move", True] == 0
+
+
+def test_verify_assembly_needs_the_pieces_spaces_in_order():
+    dec = decompose_power_tree(parse_graph("path:4"), 2)
+    head = StanleyDecomposition(dec.module, dec.spaces[:2])
+    tail = StanleyDecomposition(dec.module, dec.spaces[2:])
+    assert verify_assembly(dec, (head, tail), {head, tail})
+    assert not verify_assembly(dec, (tail, head), {head, tail})
+    assert not verify_assembly(dec, (head,), {head})
+    narrow = StanleyDecomposition(S_MOD_XY, tail.spaces)
+    assert not verify_assembly(dec, (head, narrow), {head, narrow})
 
 
 def test_certificate_json_roundtrip():
