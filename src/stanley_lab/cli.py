@@ -43,7 +43,7 @@ from .errors import (
 from .graphs import parse_graph
 from .sdepth import DEFAULT_BUDGET, build_poset, sdepth_exact, search_partition
 from .sdepth import partition_to_decomposition
-from .stanley import ModulePresentation, StanleyDecomposition, verify
+from .stanley import ModulePresentation, StanleyDecomposition, verify, verify_upper
 from .sweeps import QUESTION_GRAPHS, question_report, run_sweep
 
 EXIT_OK = 0
@@ -153,13 +153,18 @@ def cmd_sdepth(args: argparse.Namespace) -> int:
         _emit(args, result, [f"target {args.target}: {outcome.status}"])
         return EXIT_BUDGET if outcome.status == "exceeded" else EXIT_OK
     res = sdepth_exact(module, args.budget)
-    result = {"sdepth": res.value, "exact": res.exact}
+    result = {"sdepth": res.value, "exact": res.exact, "upper": res.upper}
     if args.cert:
         dec = partition_to_decomposition(res.poset, res.partition, module)
         write_json(args.cert, dec.to_json())
         result["certificate"] = args.cert
     flag = "exact" if res.exact else "lower-bound only"
-    _emit(args, result, [f"sdepth = {res.value} ({flag})"])
+    if res.value == res.upper and res.witness and not verify_upper(module, res.witness):
+        raise AssertionError(f"upper witness {res.witness} fails its re-check")
+    proof = (f"the Hilbert-depth cap {res.upper} is reached" if res.value == res.upper
+             else f"target {res.value + 1} is proven impossible" if res.exact
+             else f"the Hilbert-depth cap is {res.upper}")
+    _emit(args, result, [f"sdepth = {res.value} ({flag}), {proof}"])
     return EXIT_OK if res.exact else EXIT_BUDGET
 
 

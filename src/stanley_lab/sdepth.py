@@ -24,14 +24,15 @@ without touching interpreter state such as the recursion limit.  At a target
 at or below the least rank the walk provably takes the singleton partition
 of Herzog-Vladoiu-Zheng, one node per element, so the search returns it
 without walking or reading a closure.  Budgets are node counts; exceeding one
-is a distinct tri-state outcome, never a silent failure.
+is a distinct tri-state outcome, never a silent failure.  ``sdepth_exact``
+searches the Hilbert-depth cap first: a partition found there is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product as lattice_product
+from itertools import accumulate, compress, product as lattice_product
 from operator import eq
 from typing import NamedTuple
 
@@ -196,6 +197,27 @@ def search_partition(
     return SearchOutcome("found", IntervalPartition(chosen), nodes)
 
 
+def hilbert_cap(poset: CharacteristicPoset) -> tuple[int, tuple[int, int, int] | None]:
+    """The Hilbert depth, an upper bound on sdepth, and a witness (d, degree,
+    coefficient) that sdepth < d one above it: a negative coefficient of
+    (1-t)^d H_M(t) (Uliczka; Bruns-Krattenthaler-Uliczka); None at the largest
+    rank.  H_M = P_least/(1-t)^least + ..., P_r the degree counts of rank r; past
+    degree max |a| + d only terms of rank >= d, all nonnegative, remain."""
+    least, most, top = min(poset.ranks), max(poset.ranks), sum(poset.elements[-1])
+    rows = [[0] * (top + most + 1) for _ in range(least, most + 1)]
+    for s, r in zip(map(sum, poset.elements), poset.ranks):
+        rows[r - least][s] += 1
+    coeffs = rows.pop()
+    while rows:  # (1-t)^least H_M by Horner's rule; dividing by 1 - t is a prefix sum
+        coeffs = [x + y for x, y in zip(rows.pop(), accumulate(coeffs))]
+    for d in range(least + 1, most + 1):  # no coefficient is negative at d - 1
+        coeffs = [x - y for x, y in zip(coeffs, [0, *coeffs])]
+        j = next((j for j, x in enumerate(coeffs) if x < 0), None)
+        if j is not None:
+            return d - 1, (d, j, coeffs[j])
+    return most, None
+
+
 # A dataclass, not a NamedTuple: perfbench/test_perfbench.py rebuilds it with dataclasses.replace.
 @dataclass(frozen=True)
 class SdepthResult:
@@ -203,6 +225,8 @@ class SdepthResult:
     exact: bool
     partition: IntervalPartition
     poset: CharacteristicPoset
+    upper: int  # the Hilbert-depth cap
+    witness: tuple[int, int, int] | None  # of the cap, from hilbert_cap
 
 
 def sdepth_exact(
@@ -210,20 +234,21 @@ def sdepth_exact(
 ) -> SdepthResult:
     """Largest achievable partition value (= Stanley depth when exact).
 
-    Scans targets upward from the trivial singleton partition.  If the first
-    failing target is proven unsatisfiable within budget the value is exact;
-    a truncated search downgrades the result to a certified lower bound.
-    """
+    Searches the Hilbert-depth cap, then targets upward below it from the
+    singleton partition.  Exact when the value meets the cap or a search
+    proves the next target "none"; else a certified lower bound."""
     poset = build_poset(module)
-    best = IntervalPartition(tuple((e, e) for e in poset.elements))
-    best_value, rho_max = min(poset.ranks), max(poset.ranks)
-    while best_value < rho_max:
-        outcome = search_partition(poset, best_value + 1, budget)
-        if outcome.status != "found":  # "none" proves the value exact
-            return SdepthResult(best_value, outcome.status == "none", best, poset)
-        best = outcome.partition
-        best_value = best.value(poset)
-    return SdepthResult(best_value, True, best, poset)
+    upper, witness = hilbert_cap(poset)
+    best, value = IntervalPartition(tuple((e, e) for e in poset.elements)), min(poset.ranks)
+    at_cap = search_partition(poset, upper, budget) if value < upper else None
+    if at_cap and at_cap.status == "found":
+        best, value = at_cap.partition, upper
+    while value < upper - 1:
+        outcome = search_partition(poset, value + 1, budget)
+        if outcome.status != "found":
+            return SdepthResult(value, outcome.status == "none", best, poset, upper, witness)
+        best, value = outcome.partition, outcome.partition.value(poset)
+    return SdepthResult(value, value == upper or at_cap.status == "none", best, poset, upper, witness)
 
 
 def partition_to_decomposition(

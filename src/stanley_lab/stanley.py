@@ -15,11 +15,13 @@ which keeps lower <= upper, so only ``make``, for input, scans for it.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, combinations, islice
+from math import comb
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError, as_int, malformed, quote
+from .errors import BudgetExceededError, InputError, as_int, malformed, quote
 from .monomials import (
+    BOX_POINT_CAP,
     Box,
     MonomialIdeal,
     Multidegree,
@@ -259,6 +261,18 @@ def verify_assembly(whole: StanleyDecomposition, pieces: Sequence, proven: Conta
         if piece not in proven and before ^ remaining != _basis(box, piece.module):
             return False
     return not remaining
+
+
+def verify_upper(module: ModulePresentation, witness: Sequence[int]) -> bool:
+    """Whether witness (d, degree, coefficient) proves sdepth < d: a negative
+    coefficient of t^degree in (1-t)^d H_M(t), with H_M recounted by ``contains``
+    on each monomial up to that degree; more than ``BOX_POINT_CAP`` is a budget error."""
+    (d, m, coefficient), n = witness, module.n
+    if comb(m + n, n) > BOX_POINT_CAP:
+        raise BudgetExceededError(f"{comb(m + n, n)} monomials of degree at most {m}")
+    h = [sum(module.contains([b - a - 1 for a, b in zip((-1, *bars), (*bars, j + n - 1))])
+             for bars in combinations(range(j + n - 1), n - 1)) for j in range(m + 1)]  # stars and bars
+    return 0 > coefficient == sum((-1) ** i * comb(d, i) * h[m - i] for i in range(min(d, m) + 1))
 
 
 def tensor(d1: StanleyDecomposition, d2: StanleyDecomposition) -> StanleyDecomposition:

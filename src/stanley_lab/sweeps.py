@@ -40,6 +40,7 @@ from .depth import depth_exact
 from .errors import InputError
 from .graphs import Graph, enumerate_labeled_graphs, parse_graph
 from .sdepth import DEFAULT_BUDGET, sdepth_exact
+from .stanley import ModulePresentation
 
 QUESTION_GRAPHS = ("cycle:4", "cycle:6", "path:4", "path:5", "star:3", "star:4")
 
@@ -98,6 +99,14 @@ def _per_class(nmax: int, values: Callable[[Graph], list[dict]]) -> list[dict]:
     return rows
 
 
+@cache
+def _sdepth(module: ModulePresentation, budget: int) -> tuple[int, bool]:
+    """(value, exact), memoized like ``isomorphism_classes``: the layer claim
+    at k = 0 and the quotient claim at k = 1 share S/I."""
+    result = sdepth_exact(module, budget)
+    return result.value, result.exact
+
+
 def _sdepth_bound_sweep(
     nmax: int, ks: Sequence[int], kind: str, bound: Callable[[Graph], int], budget: int
 ) -> list[dict]:
@@ -109,15 +118,9 @@ def _sdepth_bound_sweep(
         for k in ks:
             if _module_is_zero(graph, k, kind):
                 continue
-            result = sdepth_exact(module_for(graph, k, kind), budget)
+            value, exact = _sdepth(module_for(graph, k, kind), budget)
             out.append(
-                {
-                    "k": k,
-                    "bound": p,
-                    "sdepth": result.value,
-                    "exact": result.exact,
-                    "ok": result.exact and result.value >= p,
-                }
+                {"k": k, "bound": p, "sdepth": value, "exact": exact, "ok": exact and value >= p}
             )
         return out
 
@@ -289,4 +292,5 @@ def run_sweep(
             results = dict(map(_run_one, tasks))
     finally:
         isomorphism_classes.cache_clear()
+        _sdepth.cache_clear()
     return {name: results[name] for name in sorted(results)}

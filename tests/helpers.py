@@ -1,6 +1,6 @@
 """Seeded random instances, the ideal-identity fuzz, the tree-certificate
-sweep, the certify-trees request set, polarization and graph diameters, used
-only by the tests."""
+sweep, the certify-trees request set, polarization, graph diameters and the
+ascending-scan Stanley depth, used only by the tests."""
 
 import random
 from typing import Sequence
@@ -10,12 +10,14 @@ from stanley_lab import (
     ModulePresentation,
     MonomialIdeal,
     StanleyDecomposition,
+    build_poset,
     decompose_power_general,
     decompose_power_tree,
     decompose_s_mod_power,
     enumerate_trees,
     verify,
 )
+from stanley_lab import sdepth
 from stanley_lab.monomials import Multidegree, members_in_box, support
 from stanley_lab.sdepth import DEFAULT_BUDGET
 from stanley_lab.stanley import generator_corner
@@ -88,6 +90,22 @@ def identity_fuzz(pairs: int = 200, seed: int = 0, kmax: int = 3) -> list[dict]:
 def basis_in_box(module: ModulePresentation, corner: Sequence[int]) -> set[Multidegree]:
     """All basis multidegrees a <= corner of the module."""
     return members_in_box(module.upper, corner) - members_in_box(module.lower, corner)
+
+
+def ascending_sdepth(module: ModulePresentation, budget: int = DEFAULT_BUDGET) -> tuple[int, bool]:
+    """(value, exact) by the ascending scan that ``sdepth_exact`` ran before it
+    searched the Hilbert-depth cap first: targets upward from the singleton
+    partition, exact when the first target not found is proven "none".  It
+    searches through ``sdepth.search_partition``, so a patched search sees
+    every call."""
+    poset = build_poset(module)
+    value = min(poset.ranks)
+    while value < max(poset.ranks):
+        outcome = sdepth.search_partition(poset, value + 1, budget)
+        if outcome.status != "found":
+            return value, outcome.status == "none"
+        value = outcome.partition.value(poset)
+    return value, True
 
 
 def reference_sdepth(dec: StanleyDecomposition) -> int | None:

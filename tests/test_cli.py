@@ -141,6 +141,34 @@ def test_sdepth_budget_exhaustion_exit_code():
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize("args, line, result, code", [
+    (["cycle:4", "--k", "2", "--kind", "power"],
+     "sdepth = 2 (exact), the Hilbert-depth cap 2 is reached",
+     {"sdepth": 2, "exact": True, "upper": 2}, 0),
+    (["star:3", "--k", "1", "--kind", "s-mod-power"],
+     "sdepth = 1 (exact), target 2 is proven impossible",
+     {"sdepth": 1, "exact": True, "upper": 2}, 0),
+    (["cycle:4", "--k", "2", "--kind", "s-mod-power", "--budget", "3"],
+     "sdepth = 0 (lower-bound only), the Hilbert-depth cap is 1",
+     {"sdepth": 0, "exact": False, "upper": 1}, 3),
+])
+def test_sdepth_names_the_proof_of_exactness(capsys, args, line, result, code):
+    assert cli.main(["sdepth", "--graph", *args]) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert cli.main(["--json", "sdepth", "--graph", *args]) == code
+    assert json.loads(capsys.readouterr().out)["result"] == result
+
+
+def test_sdepth_rechecks_the_witness_of_a_cap_it_reaches(monkeypatch, capsys):
+    """A cap reached below the largest rank is claimed only after
+    ``verify_upper`` accepts its witness; a rejected one is an internal error."""
+    checked = []
+    monkeypatch.setattr(cli, "verify_upper", lambda module, witness: checked.append(witness))
+    assert cli.main(["sdepth", "--graph", "cycle:4", "--k", "2", "--kind", "power"]) == cli.EXIT_INTERNAL
+    assert checked == [(3, 5, -3)]
+    assert "upper witness (3, 5, -3) fails its re-check" in capsys.readouterr().err
+
+
 def test_depth_module_and_formula(tmp_path):
     mod = tmp_path / "mod.json"
     mod.write_text(

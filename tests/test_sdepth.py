@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from functools import cache
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -28,9 +29,11 @@ from stanley_lab.sdepth import (
     IntervalPartition,
     SearchOutcome,
     _row,
+    hilbert_cap,
 )
+from stanley_lab.stanley import verify_upper
 
-from helpers import random_presentations
+from helpers import ascending_sdepth, random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -294,9 +297,9 @@ def test_coverability_matches_lattice_walk():
     assert uncoverable == 1307  # so both answers are exercised
 
 
-def test_walk_totals_pinned(monkeypatch):
-    """Nodes and statuses of every search sdepth_exact makes on the table
-    modules, summed; lazy rows and the row-free check must not change them."""
+def _search_totals(monkeypatch, oracle) -> Counter:
+    """Nodes and statuses of every search the oracle makes on the table
+    modules, summed."""
     totals = Counter()
     search = sdepth.search_partition
 
@@ -308,8 +311,126 @@ def test_walk_totals_pinned(monkeypatch):
 
     monkeypatch.setattr(sdepth, "search_partition", counted)
     for module in _table_modules():
-        sdepth_exact(module)
+        oracle(module)
+    return totals
+
+
+def test_walk_totals_pinned(monkeypatch):
+    """The searches of the ascending scan (``helpers.ascending_sdepth``) on the
+    table modules; lazy rows and the row-free check must not change them."""
+    totals = _search_totals(monkeypatch, ascending_sdepth)
     assert totals == {"nodes": 16518, "found": 745, "none": 508}
+
+
+def test_cap_first_walk_totals_pinned(monkeypatch):
+    """The searches of ``sdepth_exact`` on the table modules: the search at the
+    Hilbert-depth cap replaces most of the ascending scan and its "none"."""
+    totals = _search_totals(monkeypatch, sdepth_exact)
+    assert totals == {"nodes": 6809, "found": 577, "none": 69}
+
+
+@pytest.mark.parametrize("budget, moved", [
+    (DEFAULT_BUDGET, {(True, True, False): 695}),
+    # at 5 nodes the scan stops early; the cap search reaches higher values
+    (5, {(True, True, False): 361, (False, False, False): 278,
+         (True, False, True): 49, (True, False, False): 7}),
+])
+def test_cap_first_matches_ascending_scan(budget, moved):
+    """Against the ascending scan, on every table module: no value falls, no
+    exact flag turns false, an exact reference value is met, and the cap is
+    never below a value found.  ``moved`` counts (exact, reference exact,
+    value rose)."""
+    counts = Counter()
+    for module in dict.fromkeys(_table_modules()):
+        value, exact = ascending_sdepth(module, budget)
+        result = sdepth_exact(module, budget)
+        assert result.value >= value and result.exact >= exact
+        assert result.value == value or not exact
+        assert result.upper >= max(result.value, value)
+        counts[result.exact, exact, result.value > value] += 1
+    assert counts == moved
+
+
+def reference_cap(poset):
+    """The Hilbert-depth cap with the first negative coefficient, term by
+    term: t^|a| (1-t)^(d - rho(a)) summed over the elements, degree by degree."""
+    def term(m, e):  # the coefficient of t^m in (1-t)^e
+        return (-1) ** m * comb(e, m) if e >= 0 else comb(m - e - 1, m)
+
+    top = max(map(sum, poset.elements))
+    least, most = min(poset.ranks), max(poset.ranks)
+    for d in range(least + 1, most + 1):
+        for j in range(top + d + 1):
+            c = sum(term(j - sum(a), d - r) for a, r in zip(poset.elements, poset.ranks) if j >= sum(a))
+            if c < 0:
+                return d - 1, (d, j, c)
+    return most, None
+
+
+def test_hilbert_cap_matches_termwise_expansion():
+    caps = Counter()
+    for module in dict.fromkeys(_table_modules()):
+        poset = build_poset(module)
+        upper, witness = hilbert_cap(poset)
+        assert (upper, witness) == reference_cap(poset)
+        assert min(poset.ranks) <= upper <= max(poset.ranks)
+        assert (witness is None) == (upper == max(poset.ranks))
+        caps[upper == min(poset.ranks)] += 1
+    assert caps[True] and caps[False]
+
+
+def test_every_exact_answer_is_backed():
+    """An exact value meets the cap, whose witness passes ``verify_upper`` or
+    which is the largest rank; or a search proves the next target "none"."""
+    backed = Counter()
+    for module in dict.fromkeys(_table_modules()):
+        result = sdepth_exact(module)
+        poset = result.poset
+        assert result.exact
+        if result.value == result.upper:
+            assert verify_upper(module, result.witness) if result.witness else result.upper == max(poset.ranks)
+            backed["cap"] += 1
+        else:
+            assert search_partition(poset, result.value + 1).status == "none"
+            backed["none"] += 1
+    assert backed == {"cap": 630, "none": 65}
+
+
+def test_cap_at_the_least_rank_takes_no_search(monkeypatch):
+    """When the cap is the least rank the singleton partition is exact: no
+    search runs and no closure is built."""
+    searched = []
+    monkeypatch.setattr(sdepth, "search_partition", lambda *args: searched.append(args))
+    module = module_for(preset("cycle:3"), 2, "s-mod-power")
+    result = sdepth_exact(module)
+    assert (result.value, result.exact, result.upper) == (0, True, 0)
+    assert result.witness == (1, 4, -1) and verify_upper(module, result.witness)
+    assert searched == [] and "up" not in vars(result.poset)
+
+
+@pytest.mark.parametrize("cap, below, value, exact", [
+    ("exceeded", 3, 3, True),  # a partition found below the cap reaches it
+    ("exceeded", 2, 2, False),
+    ("none", 2, 2, True),
+])
+def test_scan_below_the_cap(monkeypatch, cap, below, value, exact):
+    """``I^2`` of ``path:4`` has least rank 0 and cap 3.  With the cap search
+    stopped, the scan runs up to target 2 and no further; its partition there
+    is the real one found at ``below``."""
+    module = module_for(preset("path:4"), 2, "power")
+    search, targets = sdepth.search_partition, []
+
+    def patched(poset, target, budget):
+        targets.append(target)
+        if target == 3:
+            return SearchOutcome(cap, None, 1)
+        return search(poset, below if target == 2 else target, budget)
+
+    monkeypatch.setattr(sdepth, "search_partition", patched)
+    result = sdepth_exact(module)
+    assert (result.value, result.exact, result.upper) == (value, exact, 3)
+    assert targets[0] == 3 and max(targets[1:]) == 2
+    assert result.partition.value(result.poset) == value
 
 
 def test_poset_is_convex():

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
+from math import comb
 
 import pytest
 
@@ -30,9 +31,11 @@ from stanley_lab.bounds import KIND_LAYER, KINDS, module_for
 from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
 from stanley_lab import constructions, monomials, stanley
-from stanley_lab.stanley import _verification_box, verify_assembly
+from stanley_lab.sdepth import build_poset, hilbert_cap
+from stanley_lab.stanley import _verification_box, verify_assembly, verify_upper
+from stanley_lab.sweeps import isomorphism_classes
 
-from helpers import basis_in_box, certify_trees_requests
+from helpers import basis_in_box, certify_trees_requests, random_presentations
 
 XY = MonomialIdeal.make(2, [(1, 1)])
 S_MOD_XY = ModulePresentation.quotient_ring(XY)
@@ -645,3 +648,55 @@ def test_shift_pin_and_module_for_build_without_the_validators(monkeypatch):
             expected.append(make(n, lower + pinned * upper, upper))
     assert len(cases) == 75 * 10
     assert derived == expected
+
+
+def _witness_cases():
+    """(module, witness) for every Hilbert-depth cap below the largest rank:
+    the nonzero modules of the three kinds, k <= 2, of one graph per class on
+    at most 4 vertices, then the seeded random presentations."""
+    modules = [
+        module_for(rep, k, kind)
+        for n in range(1, 5)
+        for rep in dict.fromkeys(rep for _, rep in isomorphism_classes(n))
+        for kind in KINDS
+        for k in range(kind != KIND_LAYER, 3)
+    ]
+    for module in [m for m in modules if not m.is_zero()] + random_presentations(300, seed=3):
+        _, witness = hilbert_cap(build_poset(module))
+        if witness is not None:
+            yield module, witness
+
+
+def test_verify_upper_accepts_every_cap_witness():
+    cases = list(_witness_cases())
+    assert all(verify_upper(module, witness) for module, witness in cases)
+    assert len(cases) == 196
+
+
+def _coefficient(module, d, m):
+    """The coefficient of t^m in (1-t)^d H_M(t), from the basis points of the box [0, m]^n."""
+    h = Counter(map(sum, basis_in_box(module, (m,) * module.n)))
+    return sum((-1) ** i * comb(d, i) * h[m - i] for i in range(min(d, m) + 1))
+
+
+def test_verify_upper_rejects_tampered_witnesses():
+    """A witness with its coefficient raised by one, or with d lowered by one
+    (with its coefficient or the true one there), is rejected.  With its degree raised by one it is accepted exactly when
+    that coefficient, recounted from the box basis, is the same negative."""
+    next_equal = Counter()
+    for module, (d, m, c) in _witness_cases():
+        assert _coefficient(module, d, m) == c
+        assert not verify_upper(module, (d, m, c + 1))
+        assert not verify_upper(module, (d - 1, m, c))
+        below = _coefficient(module, d - 1, m)  # the cap holds: not negative
+        assert below >= 0 and not verify_upper(module, (d - 1, m, below))
+        same = _coefficient(module, d, m + 1) == c
+        assert verify_upper(module, (d, m + 1, c)) == same
+        next_equal[same] += 1
+    assert next_equal == {False: 165, True: 31}
+
+
+def test_verify_upper_refuses_a_count_over_the_box_cap():
+    module = ModulePresentation.quotient_ring(MonomialIdeal.make(4, [(1, 1, 0, 0)]))
+    with pytest.raises(BudgetExceededError, match="monomials of degree at most 10000"):
+        verify_upper(module, (3, 10_000, -1))

@@ -252,6 +252,19 @@ def test_classes_are_built_once_per_n_and_sweep(monkeypatch):
     assert built == [1, 2, 3, 4] * 2
 
 
+def test_one_sdepth_answer_per_module_per_sweep(monkeypatch):
+    """The layer claim at k = 0 and the quotient claim at k = 1 both ask for
+    S/I: each module's sdepth is computed once per sweep, and the memo is
+    empty when the sweep returns."""
+    asked = []
+    real = sweeps.sdepth_exact
+    monkeypatch.setattr(sweeps, "sdepth_exact", lambda module, budget: asked.append(module) or real(module, budget))
+    first = run_sweep(4, 2)
+    assert len(asked) == len(set(asked)) == 86  # 108 claims, 22 of them on a shared S/I
+    assert sweeps._sdepth.cache_info().currsize == 0
+    assert run_sweep(4, 2) == first and len(asked) == 2 * 86
+
+
 def test_worker_pool_gives_the_same_rows():
     assert run_sweep(3, 1, jobs=2) == run_sweep(3, 1, jobs=1)
 
