@@ -33,9 +33,10 @@ path: ``build_poset``, ``search_partition`` at that target, and
 Every assembled certificate and every intermediate piece is verified once per
 request: each public call opens a session for its request only (nested calls
 join it), one memo of the subproblems, each built once, and of the verified
-certificates (a rejection is never kept).  ``_assembled`` proves a concat and
-its pieces not yet verified in one ``verify_assembly`` walk, and records them
-there.  A failed check or a failed search at a theorem-guaranteed target raises
+certificates (a rejection is never kept); ``sweeps`` keeps its memos in the
+same sessions.  ``_assembled`` proves a concat and its pieces not yet verified
+in one ``verify`` walk given the pieces, and records them there.  A failed
+check or a failed search at a theorem-guaranteed target raises
 ``ContradictionError`` because existence is proven, so the only honest
 explanations are a bug or a counterexample.
 """
@@ -66,7 +67,6 @@ from .stanley import (
     shift,
     tensor,
     verify,
-    verify_assembly,
 )
 
 
@@ -109,13 +109,14 @@ def _checked(dec: StanleyDecomposition, context: str) -> StanleyDecomposition:
 
 def _assembled(module: ModulePresentation, pieces: list, context: str) -> StanleyDecomposition:
     """The concat of the (piece, context) pairs against module, and each piece,
-    checked: one ``verify_assembly`` walk proves them all unless it rejects, and
-    then each ``_checked`` verifies on its own and names the first bad one."""
+    checked: one ``verify`` walk given the pieces proves them all, or after a
+    rejection each ``_checked`` verifies on its own and names the first bad one."""
     decs = [dec for dec, _ in pieces]
     whole, session = concat(decs, module), _SESSION.get()
-    proven = {whole, *(dec for dec in decs if ("verified", dec) in session)}  # whole: by the walk
-    if ("verified", whole) not in session and verify_assembly(whole, decs, proven):
-        session.update((("verified", dec), dec) for dec in (whole, *decs))
+    if ("verified", whole) not in session:
+        proven = {dec for dec in decs if ("verified", dec) in session}
+        if verify(whole, decs, proven).valid:
+            session.update((("verified", dec), dec) for dec in (whole, *decs))
     for dec, piece_context in pieces:
         _checked(dec, piece_context)
     return _checked(whole, context)

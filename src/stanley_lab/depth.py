@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import BudgetExceededError, UndefinedValueError
 from .monomials import Box, Multidegree
-from .stanley import ModulePresentation
+from .stanley import ModulePresentation, module_basis
 from .stanley import generator_corner as scan_corner  # homology lives inside this box
 
 # Steps one scan may take: box points times the 2^n shifted sets of the class
@@ -125,7 +125,7 @@ def homology_profile(module: ModulePresentation) -> HomologyProfile:
     BudgetExceededError before it starts."""
     n = module.n
     box = Box(scan_corner(module))
-    basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    basis = module_basis(box, module)
     if not basis:
         raise UndefinedValueError("the zero module has no depth")
     steps = box.size << n

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, product as lattice_product
-from operator import eq
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InputError, UndefinedValueError
@@ -43,6 +43,7 @@ from .stanley import (
     StanleyDecomposition,
     StanleySpace,
     generator_corner,
+    module_basis,
     shared_z,
 )
 
@@ -57,13 +58,14 @@ POSET_BIT_CAP = 64 * BOX_POINT_CAP
 
 @dataclass(frozen=True)
 class CharacteristicPoset:
-    """Elements in degree-lexicographic order; ``ranks[i]`` is rho of element
-    i, and bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i.
+    """Elements in degree-lexicographic order, with their total ``degrees`` and
+    ``ranks`` (rho); bit c of ``up[i]`` (``down[i]``) is set iff element c >= (<=) i.
     The closures are built from ``box``, the box [0, g], on first read."""
 
     n: int
     g: Multidegree
     elements: tuple[Multidegree, ...]
+    degrees: tuple[int, ...]
     ranks: tuple[int, ...]
     box: Box = field(compare=False, repr=False)
     up = cached_property(lambda self: self._closures[0])
@@ -99,16 +101,17 @@ def build_poset(module: ModulePresentation) -> CharacteristicPoset:
     one whose poset would exceed ``POSET_BIT_CAP`` closure bits, raises here."""
     g = generator_corner(module)
     box = Box(g)
-    basis = box.up(module.upper.gens) & ~box.up(module.lower.gens)
+    basis = module_basis(box, module)
     if not basis:
         raise UndefinedValueError("the zero module has no Stanley depth")
     m = basis.bit_count()
     if m * m > POSET_BIT_CAP:  # fail before any closure is built
         raise BudgetExceededError(f"poset of {m} elements needs over {POSET_BIT_CAP} closure bits")
-    # points come in lexicographic order and the sort is stable: grlex order
-    elements = tuple(sorted(box.points(basis), key=sum))
+    # points come in lexicographic order and the sort by degree is stable: grlex order
+    points = list(box.points(basis))
+    degrees, elements = zip(*sorted(zip(map(sum, points), points), key=itemgetter(0)))
     ranks = tuple(sum(map(eq, e, g)) for e in elements)
-    return CharacteristicPoset(module.n, g, elements, ranks, box)
+    return CharacteristicPoset(module.n, g, elements, degrees, ranks, box)
 
 
 # A dataclass, not a NamedTuple: perfbench/test_perfbench.py rebuilds it with dataclasses.replace.
@@ -203,9 +206,9 @@ def hilbert_cap(poset: CharacteristicPoset) -> tuple[int, tuple[int, int, int] |
     (1-t)^d H_M(t) (Uliczka; Bruns-Krattenthaler-Uliczka); None at the largest
     rank.  H_M = P_least/(1-t)^least + ..., P_r the degree counts of rank r; past
     degree max |a| + d only terms of rank >= d, all nonnegative, remain."""
-    least, most, top = min(poset.ranks), max(poset.ranks), sum(poset.elements[-1])
+    least, most, top = min(poset.ranks), max(poset.ranks), poset.degrees[-1]
     rows = [[0] * (top + most + 1) for _ in range(least, most + 1)]
-    for s, r in zip(map(sum, poset.elements), poset.ranks):
+    for s, r in zip(poset.degrees, poset.ranks):
         rows[r - least][s] += 1
     coeffs = rows.pop()
     while rows:  # (1-t)^least H_M by Horner's rule; dividing by 1 - t is a prefix sum

@@ -158,7 +158,7 @@ class VerificationReport(NamedTuple):
     valid: bool
     sdepth: int | None
     witness: Multidegree | None = None
-    failure: str | None = None  # "outside-module" | "double-covered" | "uncovered"
+    failure: str | None = None  # "outside-module" | "double-covered" | "uncovered" | "not-the-pieces"
 
     def to_json(self) -> dict:
         witness = list(self.witness) if self.witness is not None else None
@@ -194,7 +194,8 @@ def _check_spaces(spaces: Sequence[StanleySpace], n: int) -> None:
             raise InputError(f"space variables {quote(sorted(s.Z))} out of range 1..{n}")
 
 
-def _basis(box: Box, module: ModulePresentation) -> int:
+def module_basis(box: Box, module: ModulePresentation) -> int:
+    """The bitset of the module's basis points in the box: ``up(upper) & ~up(lower)``."""
     return box.up(module.upper.gens) & ~box.up(module.lower.gens)
 
 
@@ -211,56 +212,52 @@ def _cones(box: Box, spaces: Iterable[StanleySpace]) -> Iterator[int]:
         yield cone
 
 
-def verify(dec: StanleyDecomposition) -> VerificationReport:
-    """Check that the spaces partition the module basis exactly.
+def verify(
+    dec: StanleyDecomposition, pieces: Sequence = (), proven: Container = ()
+) -> VerificationReport:
+    """Check that the spaces partition the module basis exactly, and that they
+    are the spaces of ``pieces`` in order, each piece taking exactly its basis.
 
     The check runs over the box [0, B] with B_j one above every generator
-    exponent and every shift exponent in coordinate j (Herzog-Vladoiu-Zheng).
-    Clamping any multidegree into the box preserves all membership
-    predicates, so agreement on the box implies agreement everywhere.
+    exponent and every shift exponent in coordinate j, of dec's module and each
+    piece's (Herzog-Vladoiu-Zheng).  Clamping any multidegree into the box
+    preserves all membership predicates, so agreement on the box implies
+    agreement everywhere.
 
     The box is a ``Box`` bitset in lexicographic bit order; the basis is
-    ``up(upper) & ~up(lower)``.  Spaces (see ``_cones``) are checked in order
-    against the basis points not yet covered; the first bad space reports its
-    lowest bad bit, the lexicographically first of its points outside the
-    module or already covered, where a point-by-point walk would stop; an
-    uncovered witness is likewise the least uncovered basis point.  Boxes over
+    ``module_basis``.  Spaces (see ``_cones``) are checked in order against the
+    basis points not yet covered; the first bad space reports its lowest bad
+    bit, the lexicographically first of its points outside the module or
+    already covered, where a point-by-point walk would stop; an uncovered
+    witness is likewise the least uncovered basis point.  Boxes over
     ``BOX_POINT_CAP`` points raise BudgetExceededError before any allocation.
+
+    A plain certificate is an assembly of one piece, itself.  Each piece
+    neither in ``proven`` nor equal to dec must take exactly its own basis;
+    spaces that are not the pieces' in order, a piece over another n, or a
+    piece that takes other points report "not-the-pieces".
     """
-    _check_spaces(dec.spaces, dec.module.n)
-    box = Box(_verification_box(dec))
-    basis = remaining = _basis(box, dec.module)
-    for cone in _cones(box, dec.spaces):
-        bad = cone & ~remaining
-        if bad:
-            failure = "double-covered" if bad & -bad & basis else "outside-module"
-            return VerificationReport(False, None, box.lowest(bad), failure)
-        remaining ^= cone
-    if remaining:
-        return VerificationReport(False, None, box.lowest(remaining), "uncovered")
-    return VerificationReport(True, dec.sdepth())
-
-
-def verify_assembly(whole: StanleyDecomposition, pieces: Sequence, proven: Container) -> bool:
-    """Whether whole and each piece not in ``proven`` pass ``verify``, from one
-    walk of whole on one box that bounds them all (Herzog-Vladoiu-Zheng); False
-    unless whole's spaces are the pieces' in order, all over one n.  Each piece's
-    spaces must take from the basis points not yet covered exactly its basis."""
-    n, spaces = whole.module.n, tuple(chain.from_iterable(p.spaces for p in pieces))
-    if whole.spaces != spaces or any(p.module.n != n for p in pieces):
-        return False
-    _check_spaces(spaces, n)
-    box = Box(_verification_box(whole, *(p.module for p in pieces)))
-    remaining, cones = _basis(box, whole.module), _cones(box, spaces)
+    n, pieces = dec.module.n, pieces or (dec,)
+    joined = tuple(chain.from_iterable(p.spaces for p in pieces))
+    if dec.spaces != joined or any(p.module.n != n for p in pieces):
+        return VerificationReport(False, None, failure="not-the-pieces")
+    _check_spaces(dec.spaces, n)
+    box = Box(_verification_box(dec, *(p.module for p in pieces if p is not dec)))
+    basis = remaining = module_basis(box, dec.module)
+    cones = _cones(box, dec.spaces)
     for piece in pieces:
         before = remaining
         for cone in islice(cones, len(piece.spaces)):
-            if cone & ~remaining:
-                return False
+            bad = cone & ~remaining
+            if bad:
+                failure = "double-covered" if bad & -bad & basis else "outside-module"
+                return VerificationReport(False, None, box.lowest(bad), failure)
             remaining ^= cone
-        if piece not in proven and before ^ remaining != _basis(box, piece.module):
-            return False
-    return not remaining
+        if piece != dec and piece not in proven and module_basis(box, piece.module) != before ^ remaining:
+            return VerificationReport(False, None, failure="not-the-pieces")
+    if remaining:
+        return VerificationReport(False, None, box.lowest(remaining), "uncovered")
+    return VerificationReport(True, dec.sdepth())
 
 
 def verify_upper(module: ModulePresentation, witness: Sequence[int]) -> bool:
@@ -331,7 +328,7 @@ def concat(
     decs: Sequence[StanleyDecomposition], module: ModulePresentation
 ) -> StanleyDecomposition:
     """Concatenate space lists against a caller-supplied target presentation.
-    Directness is not assumed: check the result with ``verify``, or with its
-    pieces in one walk with ``verify_assembly``."""
+    Directness is not assumed: check the result with ``verify``, given the
+    pieces to prove them in the same walk."""
     spaces = tuple(chain.from_iterable(d.spaces for d in decs))
     return StanleyDecomposition(module, spaces)

@@ -18,7 +18,6 @@ found for the representative, which holds for the whole class.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
@@ -36,6 +35,7 @@ from .bounds import (
     question_experiment,
     stanley_verdict,
 )
+from .constructions import _per_request
 from .depth import depth_exact
 from .errors import InputError
 from .graphs import Graph, enumerate_labeled_graphs, parse_graph
@@ -54,15 +54,15 @@ def _check_nmax(nmax: int) -> None:
         raise InputError(f"nmax must be in 1..{MAX_SWEEP_VERTICES}, got {nmax}")
 
 
-@cache
+@_per_request
 def isomorphism_classes(n: int) -> tuple[tuple[Graph, Graph], ...]:
     """Every labeled graph on 1..n in sorted edge order, each paired with the
     first graph of its isomorphism class in that order.
 
     The first time a class is met, its graph's images under all n! vertex
     permutations are marked with it; a graph already marked is in that class.
-    Memoized per n, so the claims of one ``run_sweep`` share it; ``run_sweep``
-    clears the memo when it returns.
+    Memoized per n for the outermost sweep call (``constructions._per_request``),
+    so the claims of one ``run_sweep`` share it and nothing outlives the call.
     """
     pairs = list(combinations(range(1, n + 1), 2))
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
@@ -99,10 +99,10 @@ def _per_class(nmax: int, values: Callable[[Graph], list[dict]]) -> list[dict]:
     return rows
 
 
-@cache
+@_per_request
 def _sdepth(module: ModulePresentation, budget: int) -> tuple[int, bool]:
-    """(value, exact), memoized like ``isomorphism_classes``: the layer claim
-    at k = 0 and the quotient claim at k = 1 share S/I."""
+    """(value, exact), memoized like ``isomorphism_classes``: within one
+    ``run_sweep``, the layer claim at k = 0 and the quotient claim at k = 1 share S/I."""
     result = sdepth_exact(module, budget)
     return result.value, result.exact
 
@@ -275,22 +275,19 @@ def _run_one(args: tuple) -> tuple[str, list[dict]]:
     return name, _SWEEPS[name](nmax, kmax, budget)
 
 
+@_per_request
 def run_sweep(
     nmax: int, kmax: int, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> dict[str, list[dict]]:
     """All claim sweeps at the given size; deterministic aggregation by claim name."""
     _check_nmax(nmax)
     tasks = [(name, nmax, kmax, budget) for name in sorted(_SWEEPS)]
-    try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            # a fork-started pool forks all its workers at the first submit
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                results = dict(pool.map(_run_one, tasks))
-        else:
-            results = dict(map(_run_one, tasks))
-    finally:
-        isomorphism_classes.cache_clear()
-        _sdepth.cache_clear()
+        # a fork-started pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = dict(pool.map(_run_one, tasks))
+    else:
+        results = dict(map(_run_one, tasks))
     return {name: results[name] for name in sorted(results)}

@@ -3,6 +3,7 @@ certified bound, and never overshoots the exact oracle."""
 
 import hashlib
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -373,30 +374,27 @@ def test_oracle_closures_are_built_only_above_the_least_rank(monkeypatch):
     ],
 )
 def test_each_distinct_certificate_verified_once(monkeypatch, build, spec, k):
-    """Every proof counts: a ``verify`` call, or a certificate that an accepted
-    ``verify_assembly`` walk proves (the whole and each piece not proven)."""
+    """Every proof counts: a plain ``verify`` call, or a certificate that an
+    accepted ``verify`` walk with pieces proves (the whole and each piece
+    neither proven nor equal to the whole)."""
     reached, verified = [], []
     real_checked, real_verify = constructions._checked, constructions.verify
-    real_assembly = constructions.verify_assembly
 
     def counting_checked(dec, context):
         reached.append((dec.module, dec.spaces))
         return real_checked(dec, context)
 
-    def counting_verify(dec):
-        verified.append((dec.module, dec.spaces))
-        return real_verify(dec)
-
-    def counting_assembly(whole, pieces, proven):
-        valid = real_assembly(whole, pieces, proven)
-        if valid:
-            new = [whole, *(dec for dec in pieces if dec not in proven)]
+    def counting_verify(whole, pieces=(), proven=()):
+        report = real_verify(whole, pieces, proven)
+        if not pieces:
+            verified.append((whole.module, whole.spaces))
+        elif report.valid:
+            new = [whole, *(dec for dec in pieces if dec not in proven and dec != whole)]
             verified.extend((dec.module, dec.spaces) for dec in new)
-        return valid
+        return report
 
     monkeypatch.setattr(constructions, "_checked", counting_checked)
     monkeypatch.setattr(constructions, "verify", counting_verify)
-    monkeypatch.setattr(constructions, "verify_assembly", counting_assembly)
     graph = parse_graph(spec)
     build(graph, k)
     calls = len(verified)
@@ -432,7 +430,7 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
     """shift moves the last space of the leaf-only part of I^2 of path:4 to the
     front of its edge-multiple part: the assembly is unchanged and valid, the
     joint walk rejects it, and the message names the first bad piece."""
-    real_shift, real_assembly = constructions.shift, constructions.verify_assembly
+    real_shift, real_verify = constructions.shift, constructions.verify
     stash, joint = [], []
 
     def moving(dec, m):
@@ -444,12 +442,14 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
             return StanleyDecomposition(out.module, (stash.pop(), *out.spaces))
         return out
 
-    def recorded(whole, pieces, proven):
-        joint.append((verify(whole).valid, real_assembly(whole, pieces, proven)))
-        return joint[-1][1]
+    def recorded(whole, pieces=(), proven=()):
+        report = real_verify(whole, pieces, proven)
+        if pieces:
+            joint.append((verify(whole).valid, report.valid))
+        return report
 
     monkeypatch.setattr(constructions, "shift", moving)
-    monkeypatch.setattr(constructions, "verify_assembly", recorded)
+    monkeypatch.setattr(constructions, "verify", recorded)
     with pytest.raises(ContradictionError) as info:
         decompose_power_tree(preset("path:4"), 2)
     assert str(info.value) == (
@@ -460,27 +460,40 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
 
 
 def test_verifier_walk_totals_pinned(monkeypatch):
-    """``verify`` calls and spaces, and ``verify_assembly`` walks and spaces,
-    summed over the seed-0 certify-trees requests: separate walks of the
-    pieces, or a skipped proof, move them."""
+    """Plain ``verify`` calls and spaces, and ``verify`` walks with pieces and
+    their spaces, summed over the seed-0 certify-trees requests: separate walks
+    of the pieces, or a skipped proof, move them."""
     totals = Counter()
-    real_verify, real_assembly = constructions.verify, constructions.verify_assembly
+    real_verify = constructions.verify
 
-    def counted_verify(dec):
-        totals["verify"] += 1
-        totals["verify_spaces"] += len(dec.spaces)
-        return real_verify(dec)
-
-    def counted_assembly(whole, pieces, proven):
-        totals["joint"] += 1
-        totals["joint_spaces"] += len(whole.spaces)
-        return real_assembly(whole, pieces, proven)
+    def counted_verify(dec, pieces=(), proven=()):
+        kind = "joint" if pieces else "verify"
+        totals[kind] += 1
+        totals[f"{kind}_spaces"] += len(dec.spaces)
+        return real_verify(dec, pieces, proven)
 
     monkeypatch.setattr(constructions, "verify", counted_verify)
-    monkeypatch.setattr(constructions, "verify_assembly", counted_assembly)
     for build, graph, k in certify_trees_requests():
         build(graph, k)
     assert totals == {"verify": 171, "verify_spaces": 3030, "joint": 133, "joint_spaces": 6113}
+
+
+def test_tracer_counts_every_verifier_walk(monkeypatch):
+    """The benchmark's tracer wraps ``stanley.verify``, the one verifier walk,
+    so on the seed-0 certify-trees requests it sees the 171 plain walks and the
+    133 walks with pieces, over 3,030 + 6,113 spaces, all inside a generator."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    from tracing import Tracer
+
+    requests = certify_trees_requests()
+    with Tracer() as tracer:
+        for build, graph, k in requests:
+            getattr(constructions, build.__name__)(graph, k)  # the traced binding
+    totals = tracer.layer_totals()
+    assert totals["stanley.verify.calls"] == totals["constructions.decompose.reverifications"] == 304
+    assert totals["stanley.verify.spaces"] == 9143
+    assert totals["stanley.verify.invalid"] == 0
 
 
 def test_failed_piece_is_verified_again_in_the_same_session(monkeypatch):

@@ -32,7 +32,7 @@ from stanley_lab.graphs import enumerate_labeled_graphs
 from stanley_lab.monomials import Box
 from stanley_lab import constructions, monomials, stanley
 from stanley_lab.sdepth import build_poset, hilbert_cap
-from stanley_lab.stanley import _verification_box, verify_assembly, verify_upper
+from stanley_lab.stanley import _verification_box, verify_upper
 from stanley_lab.sweeps import isomorphism_classes
 
 from helpers import basis_in_box, certify_trees_requests, random_presentations
@@ -157,6 +157,16 @@ def test_verify_matches_reference_verifier(build, stride, fits):
         assert got == reference_verify(d), d.spaces
         kinds.add(report.failure)
     assert kinds == {None, "outside-module", "double-covered", "uncovered"}
+
+
+@pytest.mark.parametrize("build, stride, fits", VERIFY_CASES)
+def test_plain_verify_is_the_assembly_of_itself(build, stride, fits):
+    """``verify(d)`` walks d as the one piece of itself: given (d,) as the
+    pieces it reports the same, on each case and each checked perturbation."""
+    dec = build()
+    spaces = islice(perturbations(dec), 0, None, stride)
+    for d in [dec, *(StanleyDecomposition(dec.module, tuple(s)) for s in spaces)]:
+        assert verify(d) == verify(d, (d,), ())
 
 
 # A valid decomposition of S/(xy), and bad spaces with the message each raises.
@@ -452,15 +462,16 @@ def test_concat_layers_of_small_quotient():
 @lru_cache(maxsize=1)
 def certify_assemblies():
     """Each (whole, pieces, proven) that the seed-0 certify-trees requests pass
-    to ``verify_assembly``."""
-    seen, real = [], constructions.verify_assembly
+    to ``verify`` with pieces."""
+    seen, real = [], constructions.verify
 
-    def record(whole, pieces, proven):
-        seen.append((whole, tuple(pieces), frozenset(proven)))
-        return real(whole, pieces, proven)
+    def record(dec, pieces=(), proven=()):
+        if pieces:
+            seen.append((dec, tuple(pieces), frozenset(proven)))
+        return real(dec, pieces, proven)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(constructions, "verify_assembly", record)
+        patch.setattr(constructions, "verify", record)
         for build, graph, k in certify_trees_requests():
             build(graph, k)
     return seen
@@ -499,14 +510,14 @@ def test_verify_assembly_accepts_exactly_when_each_new_part_verifies():
     assemblies = certify_assemblies()
     assert len(assemblies) == 133
     for whole, pieces, proven in assemblies:
-        assert verify_assembly(whole, pieces, proven)
+        assert verify(whole, pieces, proven).valid
         assert verify(whole).valid and all(verify(p).valid for p in pieces)
         for kind, bad in corruptions(pieces, rng):
             spaces = tuple(s for p in bad for s in p.spaces)
             bad_whole = StanleyDecomposition(whole.module, spaces)
             new = [p for p in bad if p not in proven]
             expected = verify(bad_whole).valid and all(verify(p).valid for p in new)
-            assert verify_assembly(bad_whole, bad, proven) == expected, kind
+            assert verify(bad_whole, bad, proven).valid == expected, kind
             outcomes[kind, expected] += 1
             if kind == "move":
                 # the whole is unchanged and valid; both moved pieces are not,
@@ -514,7 +525,7 @@ def test_verify_assembly_accepts_exactly_when_each_new_part_verifies():
                 changed = [p for p, q in zip(bad, pieces) if p != q]
                 assert bad_whole == whole and len(changed) == 2
                 assert not any(verify(p).valid for p in changed)
-                assert verify_assembly(bad_whole, bad, proven | set(changed))
+                assert verify(bad_whole, bad, proven | set(changed)).valid
     assert {kind for kind, expected in outcomes if not expected} == {
         "omit", "drop", "duplicate", "bump", "move"
     }
@@ -525,11 +536,11 @@ def test_verify_assembly_needs_the_pieces_spaces_in_order():
     dec = decompose_power_tree(parse_graph("path:4"), 2)
     head = StanleyDecomposition(dec.module, dec.spaces[:2])
     tail = StanleyDecomposition(dec.module, dec.spaces[2:])
-    assert verify_assembly(dec, (head, tail), {head, tail})
-    assert not verify_assembly(dec, (tail, head), {head, tail})
-    assert not verify_assembly(dec, (head,), {head})
+    assert verify(dec, (head, tail), {head, tail}).valid
+    assert not verify(dec, (tail, head), {head, tail}).valid
+    assert not verify(dec, (head,), {head}).valid
     narrow = StanleyDecomposition(S_MOD_XY, tail.spaces)
-    assert not verify_assembly(dec, (head, narrow), {head, narrow})
+    assert not verify(dec, (head, narrow), {head, narrow}).valid
 
 
 def test_certificate_json_roundtrip():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import stanley_lab
-from stanley_lab import InputError, sweeps
+from stanley_lab import InputError, constructions, sweeps
 from stanley_lab.bounds import (
     HOLDS,
     KIND_POWER,
@@ -244,7 +244,7 @@ def test_classes_are_built_once_per_n_and_sweep(monkeypatch):
     built = []
     real = sweeps.enumerate_labeled_graphs
     monkeypatch.setattr(sweeps, "enumerate_labeled_graphs", lambda n: built.append(n) or real(n))
-    isomorphism_classes.cache_clear()
+    assert constructions._SESSION.get() is None
     first = run_sweep(4, 2)
     assert built == [1, 2, 3, 4]
     # the memo lives for one sweep: the next one builds the classes again
@@ -261,8 +261,22 @@ def test_one_sdepth_answer_per_module_per_sweep(monkeypatch):
     monkeypatch.setattr(sweeps, "sdepth_exact", lambda module, budget: asked.append(module) or real(module, budget))
     first = run_sweep(4, 2)
     assert len(asked) == len(set(asked)) == 86  # 108 claims, 22 of them on a shared S/I
-    assert sweeps._sdepth.cache_info().currsize == 0
+    assert constructions._SESSION.get() is None
     assert run_sweep(4, 2) == first and len(asked) == 2 * 86
+
+
+def test_direct_claim_sweep_keeps_no_memo(monkeypatch):
+    """A claim sweep called on its own keeps no class table and no sdepth
+    answer once it returns: the same call again builds and asks everything anew."""
+    built, asked = [], []
+    real_enumerate, real_sdepth = sweeps.enumerate_labeled_graphs, sweeps.sdepth_exact
+    monkeypatch.setattr(sweeps, "enumerate_labeled_graphs", lambda n: built.append(n) or real_enumerate(n))
+    monkeypatch.setattr(sweeps, "sdepth_exact", lambda module, budget: asked.append(module) or real_sdepth(module, budget))
+    first = sweep_layer_bound(3, [0, 1])
+    assert built == [1, 2, 3] and len(asked) == len(set(asked)) == 11
+    assert constructions._SESSION.get() is None
+    assert sweep_layer_bound(3, [0, 1]) == first
+    assert built == [1, 2, 3] * 2 and asked == asked[:11] * 2
 
 
 def test_worker_pool_gives_the_same_rows():
