@@ -26,17 +26,20 @@ variables free, and ``pin`` fixes a free variable at exponent 0; they and
 ``shift`` derive each piece's module, and ``concat`` is given the whole's.  An oracle
 search for a subgraph H counts the n - |V(H)| variables off H toward every
 rho, so it runs at the guaranteed target plus n - |V(H)|; isolated vertices
-of H count toward the guarantee itself.  Every oracle certificate takes one
-path: ``build_poset``, ``search_partition`` at that target, and
-``partition_to_decomposition``.
+of H count toward the guarantee itself.  Every oracle search takes one path
+(``build_poset``, ``search_partition``, ``partition_to_decomposition``), and
+the tree recursion runs its two single-use ones in the frame of their
+assembly (``shift_module``, ``pin_module``), so each certificate is its piece.
 
 Every assembled certificate and every intermediate piece is verified once per
 request: each public call opens a session for its request only (nested calls
 join it), one memo of the subproblems, each built once, and of the verified
 certificates (a rejection is never kept); ``sweeps`` keeps its memos in the
 same sessions.  ``_assembled`` proves a concat and its pieces not yet verified
-in one ``verify`` walk given the pieces, and records them there.  A failed
-check or a failed search at a theorem-guaranteed target raises
+in one ``verify`` walk given the pieces, and records them there.  Every oracle
+certificate is proven where it is used: by that walk where it is a piece, by
+``_checked`` where it is returned or fed to ``tensor``, ``pin`` or ``shift``.
+A failed check or a failed search at a theorem-guaranteed target raises
 ``ContradictionError`` because existence is proven, so the only honest
 explanations are a bug or a counterexample.
 """
@@ -63,8 +66,10 @@ from .stanley import (
     StanleySpace,
     concat,
     pin,
+    pin_module,
     shared_z,
     shift,
+    shift_module,
     tensor,
     verify,
 )
@@ -72,6 +77,7 @@ from .stanley import (
 
 # The open request's memo (see ``_per_request`` and ``_checked``), else None.
 _SESSION: ContextVar[dict | None] = ContextVar("_SESSION", default=None)
+_MISS = object()  # what a session holds for a key it has not kept
 
 
 def _per_request(build):
@@ -87,9 +93,9 @@ def _per_request(build):
             finally:
                 _SESSION.reset(token)
         key = (build, args, tuple(kwargs.items()))
-        if key not in session:
-            session[key] = build(*args, **kwargs)
-        return session[key]
+        if (value := session.get(key, _MISS)) is _MISS:
+            value = session[key] = build(*args, **kwargs)
+        return value
     return run
 
 
@@ -127,7 +133,8 @@ def _oracle_certificate(
     sub: Graph, module: ModulePresentation, target: int, budget: int, guarantee: str
 ) -> StanleyDecomposition:
     """Search a module of sub's edge ideal at a target the guarantee makes
-    attainable over sub's own vertices; failure is a contradiction."""
+    attainable over sub's own vertices; failure is a contradiction.  The
+    certificate is not verified here: each caller proves what it uses."""
     target += sub.n - sub.num_vertices
     poset = build_poset(module)
     outcome = search_partition(poset, target, budget)
@@ -141,8 +148,11 @@ def _oracle_certificate(
             f"no partition at target {target}, but {guarantee} guarantees one; "
             f"module: {module.to_json()}"
         )
-    dec = partition_to_decomposition(poset, outcome.partition, module)
-    return _checked(dec, "oracle certificate")
+    return partition_to_decomposition(poset, outcome.partition, module)
+
+
+_CO_SPREAD = "squarefree ideals generated in one degree reach one above their co-spread"
+_DEPTH_ONE = "every nonzero monomial ideal has a depth-one decomposition"
 
 
 def _induced(graph: Graph, keep: Iterable[int]) -> Graph:
@@ -170,11 +180,13 @@ def decompose_layer(
     bipartite = [c for c in comps if c.bipartite]
     if len(comps) == 1 or not bipartite:
         if len(comps) == 1 and bipartite:
-            return _oracle_certificate(
+            dec = _oracle_certificate(
                 sub, module, 1, budget,
                 "positive depth of layers over a connected bipartite graph",
             )
-        return _oracle_certificate(sub, module, 0, budget, "nonzero layer module")
+        else:
+            dec = _oracle_certificate(sub, module, 0, budget, "nonzero layer module")
+        return _checked(dec, "oracle certificate")
     first = min(bipartite, key=lambda c: (len(c.vertices), c.vertices))
     head, rest = _induced(graph, first.vertices), sub.delete_vertices(first.vertices)
     pieces = []
@@ -228,11 +240,7 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
             module, (StanleySpace(generator, shared_z(frozenset(range(1, n + 1)))),)
         )
     if k == 1:
-        return _oracle_certificate(
-            tree, module, 2, budget,
-            "squarefree ideals generated in one degree reach one above "
-            "their co-spread",
-        )
+        return _checked(_oracle_certificate(tree, module, 2, budget, _CO_SPREAD), "oracle certificate")
     adj = tree.adjacency()
     leaf = min(v for v, ws in adj.items() if len(ws) == 1)
     (stem,) = adj[leaf]
@@ -246,19 +254,24 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
 
     # leaf-multiples avoiding the stem: the leaf's only neighbor is the stem,
     # so dividing by the leaf lands in the power of the doubly-deleted tree,
-    # with the leaf variable acting freely and the stem set to 0
+    # with the leaf variable acting freely and the stem set to 0; searched in
+    # that frame, x_leaf (U / (L + x_stem U)), where the pinned stem leaves the
+    # poset's corner: one below the target of U/L, the power's own module
     pruned = tree.delete_vertices({leaf, stem})
     if pruned.has_edges():
-        base = _oracle_certificate(
-            pruned, module_for(pruned, k, KIND_POWER), 1, budget,
-            "every nonzero monomial ideal has a depth-one decomposition",
-        )
-        pieces.append((shift(pin(base, (stem,)), leaf_shift), "leaf-only part"))
+        frame = shift_module(pin_module(module_for(pruned, k, KIND_POWER), (stem,)), leaf_shift)
+        only = _oracle_certificate(pruned, frame, 0, budget, _DEPTH_ONE)
+        pieces.append((only, "leaf-only part"))
 
-    # multiples of the leaf edge: the previous power, shifted by the edge
+    # multiples of the leaf edge: the previous power, shifted by the edge; at
+    # k = 2 that is the oracle's, searched in the shifted frame at its target
     edge_shift = tuple(int(v in (leaf, stem)) for v in range(1, n + 1))
-    previous = _tree_power(tree, k - 1, budget)
-    pieces.append((shift(previous, edge_shift), "edge-multiple part"))
+    if k == 2:
+        frame = shift_module(module_for(tree, 1, KIND_POWER), edge_shift)
+        edge = _oracle_certificate(tree, frame, 2, budget, _CO_SPREAD)
+    else:
+        edge = shift(_tree_power(tree, k - 1, budget), edge_shift)
+    pieces.append((edge, "edge-multiple part"))
 
     return _assembled(module, pieces, f"tree power on {sorted(tree.vertices)} at k={k}")
 
@@ -305,21 +318,14 @@ def _power_base(
     if comp.tree:
         return _tree_power(sub, k, budget)
     module = module_for(sub, k, KIND_POWER)
-    if not comp.bipartite:
-        return _oracle_certificate(
-            sub, module, 1, budget,
-            "every nonzero monomial ideal has a depth-one decomposition",
-        )
-    # connected bipartite non-tree: best effort, floor of 1 still guaranteed;
-    # the n - |comp| variables off the component count toward the value
-    result = sdepth_exact(module, budget)
-    if result.value >= 1 + graph.n - len(comp.vertices):
-        dec = partition_to_decomposition(result.poset, result.partition, module)
-        return _checked(dec, "best-effort component power")
-    return _oracle_certificate(
-        sub, module, 1, budget,
-        "every nonzero monomial ideal has a depth-one decomposition",
-    )
+    if comp.bipartite:
+        # connected bipartite non-tree: best effort, floor of 1 still guaranteed;
+        # the n - |comp| variables off the component count toward the value
+        result = sdepth_exact(module, budget)
+        if result.value >= 1 + graph.n - len(comp.vertices):
+            dec = partition_to_decomposition(result.poset, result.partition, module)
+            return _checked(dec, "best-effort component power")
+    return _checked(_oracle_certificate(sub, module, 1, budget, _DEPTH_ONE), "oracle certificate")
 
 
 # The generator of each module kind, for callers that choose the kind at run time.

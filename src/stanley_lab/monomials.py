@@ -21,8 +21,8 @@ Multidegree = tuple[int, ...]
 # instead of exhausting memory or time.
 BOX_POINT_CAP = 1 << 24
 
-# Most variables an ideal or graph may have.  A verify box has at least two
-# points per axis, so no certificate over more variables fits under the cap.
+# Most variables an ideal or graph may have: each box of a module whose ideals
+# involve every variable has two points per axis or more, so none fits past it.
 MAX_VARIABLES = BOX_POINT_CAP.bit_length() - 1
 
 # Maps the '0'/'1' digits of a bitset's binary string to falsy/truthy bytes.

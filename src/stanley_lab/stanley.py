@@ -4,19 +4,22 @@ A presentation is a pair of monomial ideals lower <= upper; the module it
 denotes is the multigraded vector space spanned by the monomials of
 upper \\ lower.  A Stanley space (u, Z) is the set of multidegrees equal to u
 off Z and >= u on Z.  Decompositions are certificates: ``verify`` checks
-disjoint exact coverage over a finite box that is provably sufficient, because
-every membership predicate involved is constant above a per-coordinate
-threshold, and the box corner exceeds all thresholds by one.
-Spaces share their Z sets: each new Z goes through ``shared_z``, which keeps
-one stored copy per distinct set, at most 2^n of them over n variables.
-``tensor``, ``shift`` and ``pin`` derive the module they decompose from their inputs,
-which keeps lower <= upper, so only ``make``, for input, scans for it.
+disjoint exact coverage over a finite box that is provably sufficient:
+clamping a coordinate to the box corner keeps every membership predicate, as
+the corner reaches every generator exponent and each u_j with j in Z of a
+space (u, Z), and exceeds each u_j with j off Z (see ``verify``).  Spaces
+share their Z sets: each new Z goes through ``shared_z``, which keeps one
+stored copy per distinct set, at most 2^n of them over n variables.
+``tensor``, ``shift`` and ``pin`` derive the module they decompose from their
+inputs (by ``shift_module`` and ``pin_module`` for the last two), which keeps
+lower <= upper, so only ``make``, for input, scans for it.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, islice
 from math import comb
+from operator import add
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InputError, as_int, malformed, quote
@@ -166,8 +169,11 @@ class VerificationReport(NamedTuple):
 
 
 def _verification_box(dec: StanleyDecomposition, *modules: ModulePresentation) -> Multidegree:
+    """The corner of the box ``verify`` walks, by the rule ``verify`` states."""
+    every = range(1, dec.module.n + 1)
+    off = {z: tuple(j not in z for j in every) for z in {s.Z for s in dec.spaces}}
     corners = map(generator_corner, (dec.module, *modules))
-    return tuple(max(col) + 1 for col in zip(*corners, *(s.u for s in dec.spaces)))
+    return tuple(map(max, zip(*corners, *(map(add, s.u, off[s.Z]) for s in dec.spaces))))
 
 
 def _check_spaces(spaces: Sequence[StanleySpace], n: int) -> None:
@@ -218,11 +224,14 @@ def verify(
     """Check that the spaces partition the module basis exactly, and that they
     are the spaces of ``pieces`` in order, each piece taking exactly its basis.
 
-    The check runs over the box [0, B] with B_j one above every generator
-    exponent and every shift exponent in coordinate j, of dec's module and each
-    piece's (Herzog-Vladoiu-Zheng).  Clamping any multidegree into the box
-    preserves all membership predicates, so agreement on the box implies
-    agreement everywhere.
+    The check runs over the box [0, B] (Herzog-Vladoiu-Zheng) with B_j the
+    largest of every generator exponent in coordinate j, of dec's module and
+    each piece's, of u_j over the spaces with j in Z, and of u_j + 1 over the
+    spaces with j off Z.  Clamping a multidegree a to min(a, B) keeps every
+    ideal membership (no generator exceeds B), ``a_j >= u_j`` on Z (u_j <= B_j)
+    and ``a_j == u_j`` off Z (u_j < B_j), so agreement on the box implies
+    agreement everywhere.  A bad point's clamp is bad and no larger, so every
+    report, witness included, is the one any larger box would give.
 
     The box is a ``Box`` bitset in lexicographic bit order; the basis is
     ``module_basis``.  Spaces (see ``_cones``) are checked in order against the
@@ -296,21 +305,33 @@ def tensor(d1: StanleyDecomposition, d2: StanleyDecomposition) -> StanleyDecompo
     return StanleyDecomposition(module, spaces)
 
 
+def shift_module(module: ModulePresentation, m: Multidegree) -> ModulePresentation:
+    """x^m U / x^m L.  Moving the generators of an ideal by m keeps them
+    minimal and in lexicographic order."""
+    n, lower, upper = module
+    moved = (MonomialIdeal(n, tuple(deg_add(g, m) for g in ideal.gens)) for ideal in (lower, upper))
+    return ModulePresentation(n, *moved)
+
+
+def pin_module(module: ModulePresentation, ws: Iterable[int]) -> ModulePresentation:
+    """U / (L + x_W U) for variables W in 1..n; distinct unit vectors are minimal."""
+    n, lower, upper = module
+    units = MonomialIdeal(n, tuple(sorted(tuple(int(j == w) for j in range(1, n + 1)) for w in ws)))
+    return ModulePresentation(n, lower + units * upper, upper)
+
+
 def shift(dec: StanleyDecomposition, m: Sequence[int]) -> StanleyDecomposition:
     """Multiply every space by x^m: (u, Z) -> (u + m, Z), a decomposition of
-    x^m U / x^m L.  Only m is checked: moving the generators of an ideal by m
-    keeps them minimal and in lexicographic order."""
-    n, lower, upper = dec.module
-    m = as_degree(m, n)
-    moved = (MonomialIdeal(n, tuple(deg_add(g, m) for g in ideal.gens)) for ideal in (lower, upper))
+    ``shift_module``.  Only m is checked."""
+    m = as_degree(m, dec.module.n)
     spaces = tuple(StanleySpace(deg_add(s.u, m), s.Z) for s in dec.spaces)
-    return StanleyDecomposition(ModulePresentation(n, *moved), spaces)
+    return StanleyDecomposition(shift_module(dec.module, m), spaces)
 
 
 def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposition:
     """Fix variables W that act freely in dec at exponent 0: (u, Z) -> (u, Z - W),
-    a decomposition of U / (L + x_W U)."""
-    n, lower, upper = dec.module
+    a decomposition of ``pin_module``."""
+    n = dec.module.n
     ws = frozenset(map(as_int, variables))
     if not ws <= frozenset(range(1, n + 1)):
         raise InputError(f"pin variables {sorted(ws)} out of range 1..{n}")
@@ -319,9 +340,7 @@ def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposi
         raise InputError(f"cannot pin variables {sorted(clash)} that are not free")
     cut = {z: shared_z(z - ws) for z in {s.Z for s in dec.spaces}}
     spaces = tuple(StanleySpace(s.u, cut[s.Z]) for s in dec.spaces)
-    units = sorted(tuple(int(j == w) for j in range(1, n + 1)) for w in ws)
-    pinned = MonomialIdeal(n, tuple(units))  # distinct unit vectors are minimal
-    return StanleyDecomposition(ModulePresentation(n, lower + pinned * upper, upper), spaces)
+    return StanleyDecomposition(pin_module(dec.module, ws), spaces)
 
 
 def concat(

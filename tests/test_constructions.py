@@ -20,7 +20,9 @@ from stanley_lab import (
     decompose_power_tree,
     decompose_s_mod_power,
     lower_sdepth_power,
+    pin,
     sdepth_exact,
+    shift,
     verify,
 )
 from stanley_lab import constructions
@@ -409,7 +411,7 @@ def test_each_distinct_certificate_verified_once(monkeypatch, build, spec, k):
 @pytest.mark.parametrize(
     "combinator, build, spec, k",
     [
-        ("shift", decompose_power_tree, "path:4", 2),
+        ("shift", decompose_power_tree, "path:4", 3),
         ("concat", decompose_s_mod_power, "cycle:3+path:3", 2),
     ],
 )
@@ -427,15 +429,15 @@ def test_broken_combinator_raises_contradiction(monkeypatch, combinator, build, 
 
 
 def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
-    """shift moves the last space of the leaf-only part of I^2 of path:4 to the
-    front of its edge-multiple part: the assembly is unchanged and valid, the
-    joint walk rejects it, and the message names the first bad piece."""
-    real_shift, real_verify = constructions.shift, constructions.verify
+    """The oracle moves the last space of the leaf-only part of I^2 of path:4
+    to the front of its edge-multiple part: the assembly is unchanged and valid,
+    the joint walk rejects it, and the message names the first bad piece."""
+    real_oracle, real_verify = constructions._oracle_certificate, constructions.verify
     stash, joint = [], []
 
-    def moving(dec, m):
-        out = real_shift(dec, m)
-        if sum(m) == 1:  # the leaf-only part
+    def moving(sub, module, *args):
+        out = real_oracle(sub, module, *args)
+        if module.lower.gens:  # the leaf-only part, the one oracle piece with a lower ideal
             stash.append(out.spaces[-1])
             return StanleyDecomposition(out.module, out.spaces[:-1])
         if stash:  # the next edge-multiple part
@@ -448,7 +450,7 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
             joint.append((verify(whole).valid, report.valid))
         return report
 
-    monkeypatch.setattr(constructions, "shift", moving)
+    monkeypatch.setattr(constructions, "_oracle_certificate", moving)
     monkeypatch.setattr(constructions, "verify", recorded)
     with pytest.raises(ContradictionError) as info:
         decompose_power_tree(preset("path:4"), 2)
@@ -457,6 +459,73 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
     )
     assert joint[-1] == (True, False)
     assert constructions._SESSION.get() is None
+
+
+def old_oracle_search(graph, k, target):
+    """The certificate and node count of the search of I(graph)^k at target
+    plus the variables off the graph, as the oracle ran it before framing."""
+    module = module_for(graph, k, KIND_POWER)
+    poset = build_poset(module)
+    outcome = search_partition(poset, target + graph.n - graph.num_vertices)
+    return partition_to_decomposition(poset, outcome.partition, module), outcome.nodes
+
+
+def test_framed_oracle_pieces_are_the_old_images(monkeypatch):
+    """On every tree with 3 to 7 vertices, the leaf-only and edge-multiple
+    oracle pieces of I^k (k = 2, 3), searched
+    in their assembly's frame, are exactly ``shift(pin(base, (stem,)), leaf)`` and
+    ``shift(_tree_power(tree, 1), edge)``: the same spaces in the same order,
+    found in as many nodes, and the unframed module is never searched."""
+    searched, assembled = {}, []
+    real_build, real_search = constructions.build_poset, constructions.search_partition
+    real_assembled = constructions._assembled
+
+    def recording_build(module):
+        poset = real_build(module)
+        searched[poset] = module
+        return poset
+
+    def recording_search(poset, target, budget):
+        outcome = real_search(poset, target, budget)
+        searched[searched.pop(poset)] = outcome.nodes
+        return outcome
+
+    def recording_assembled(module, pieces, context):
+        assembled.append((context, dict((c, dec) for dec, c in pieces)))
+        return real_assembled(module, pieces, context)
+
+    monkeypatch.setattr(constructions, "build_poset", recording_build)
+    monkeypatch.setattr(constructions, "search_partition", recording_search)
+    monkeypatch.setattr(constructions, "_assembled", recording_assembled)
+    compared = Counter()
+    for tree in (tree for n in range(3, 8) for tree in enumerate_trees(n)):
+        n, adj = tree.n, tree.adjacency()
+        leaf = min(v for v, ws in adj.items() if len(ws) == 1)
+        (stem,) = adj[leaf]
+        leaf_shift = tuple(int(v == leaf) for v in range(1, n + 1))
+        edge_shift = tuple(int(v in (leaf, stem)) for v in range(1, n + 1))
+        pruned = tree.delete_vertices({leaf, stem})
+        for k in (2, 3):
+            searched.clear()
+            assembled.clear()
+            decompose_power_tree(tree, k)
+            parts = dict(assembled)
+            top, square = (parts[f"tree power on {sorted(tree.vertices)} at k={j}"] for j in (k, 2))
+            # the edge-multiple oracle piece of I^2, which I^3 reaches through shift
+            base, nodes = old_oracle_search(tree, 1, 2)
+            assert square["edge-multiple part"] == shift(base, edge_shift)
+            assert searched[square["edge-multiple part"].module] == nodes
+            assert module_for(tree, 1, KIND_POWER) not in searched
+            compared["edge-multiple"] += 1
+            if pruned.has_edges():
+                base, nodes = old_oracle_search(pruned, k, 1)
+                assert top["leaf-only part"] == shift(pin(base, (stem,)), leaf_shift)
+                assert searched[top["leaf-only part"].module] == nodes
+                assert base.module not in searched
+                compared["leaf-only"] += 1
+            else:
+                assert "leaf-only part" not in top
+    assert compared == {"edge-multiple": 2 * 23, "leaf-only": 2 * 18}  # 23 trees, 18 with a leaf-only part
 
 
 def test_verifier_walk_totals_pinned(monkeypatch):
@@ -475,13 +544,13 @@ def test_verifier_walk_totals_pinned(monkeypatch):
     monkeypatch.setattr(constructions, "verify", counted_verify)
     for build, graph, k in certify_trees_requests():
         build(graph, k)
-    assert totals == {"verify": 171, "verify_spaces": 3030, "joint": 133, "joint_spaces": 6113}
+    assert totals == {"verify": 53, "verify_spaces": 1619, "joint": 133, "joint_spaces": 6113}
 
 
 def test_tracer_counts_every_verifier_walk(monkeypatch):
     """The benchmark's tracer wraps ``stanley.verify``, the one verifier walk,
-    so on the seed-0 certify-trees requests it sees the 171 plain walks and the
-    133 walks with pieces, over 3,030 + 6,113 spaces, all inside a generator."""
+    so on the seed-0 certify-trees requests it sees the 53 plain walks and the
+    133 walks with pieces, over 1,619 + 6,113 spaces, all inside a generator."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     from tracing import Tracer
@@ -491,8 +560,8 @@ def test_tracer_counts_every_verifier_walk(monkeypatch):
         for build, graph, k in requests:
             getattr(constructions, build.__name__)(graph, k)  # the traced binding
     totals = tracer.layer_totals()
-    assert totals["stanley.verify.calls"] == totals["constructions.decompose.reverifications"] == 304
-    assert totals["stanley.verify.spaces"] == 9143
+    assert totals["stanley.verify.calls"] == totals["constructions.decompose.reverifications"] == 186
+    assert totals["stanley.verify.spaces"] == 7732
     assert totals["stanley.verify.invalid"] == 0
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, product
 from math import comb
+from operator import le
 
 import pytest
 
@@ -167,6 +168,32 @@ def test_plain_verify_is_the_assembly_of_itself(build, stride, fits):
     spaces = islice(perturbations(dec), 0, None, stride)
     for d in [dec, *(StanleyDecomposition(dec.module, tuple(s)) for s in spaces)]:
         assert verify(d) == verify(d, (d,), ())
+
+
+@pytest.mark.parametrize("build, stride, fits", VERIFY_CASES)
+def test_verify_walks_the_tight_box(monkeypatch, build, stride, fits):
+    """The box ``verify`` walks is componentwise at most the one a unit above
+    every generator and shift exponent, on each case and each checked
+    perturbation, and has fewer points on the case itself."""
+    corners = []
+
+    def recording_box(corner):
+        corners.append(corner)
+        return Box(corner)
+
+    monkeypatch.setattr(stanley, "Box", recording_box)
+    dec = build()
+    spaces = islice(perturbations(dec), 0, None, stride)
+    for d in [dec, *(StanleyDecomposition(dec.module, tuple(s)) for s in spaces)]:
+        exps = (*d.module.lower.gens, *d.module.upper.gens, *(s.u for s in d.spaces))
+        old = tuple(max(col) + 1 for col in zip((0,) * d.module.n, *exps))
+        corners.clear()
+        verify(d)
+        (corner,) = corners
+        assert all(map(le, corner, old)), (corner, old)
+        if d is dec:
+            assert Box(corner).size < Box(old).size
+            assert (Box(corner).levels() is not None) == fits
 
 
 # A valid decomposition of S/(xy), and bad spaces with the message each raises.
