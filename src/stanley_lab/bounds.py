@@ -144,11 +144,9 @@ def _depth_with_source(
 ) -> tuple[int, str, ModulePresentation | None]:
     """The depth, its source, and the module if the Koszul scan built it."""
     shortcut = depth_by_trung(graph, k) if kind != KIND_LAYER else None
-    if shortcut is not None and kind == KIND_S_MOD:
-        return shortcut, "limit-depth-formula", None
-    if shortcut is not None and kind == KIND_POWER and graph.has_edges():
-        # depth(I^k) = depth(S/I^k) + 1 for a nonzero proper ideal.
-        return shortcut + 1, "limit-depth-formula", None
+    if shortcut is not None:
+        # depth(I^k) = depth(S/I^k) + 1, as I^k != 0 (``stanley_verdict`` rejects a zero module)
+        return shortcut + int(kind == KIND_POWER), "limit-depth-formula", None
     module = module_for(graph, k, kind)
     return depth_exact(module), "koszul", module
 

@@ -178,14 +178,10 @@ def decompose_layer(
     # (all n of them for the ring, layer 0 of an edgeless graph)
     sub = _induced(graph, (v for c in comps for v in c.vertices))
     bipartite = [c for c in comps if c.bipartite]
-    if len(comps) == 1 or not bipartite:
-        if len(comps) == 1 and bipartite:
-            dec = _oracle_certificate(
-                sub, module, 1, budget,
-                "positive depth of layers over a connected bipartite graph",
-            )
-        else:
-            dec = _oracle_certificate(sub, module, 0, budget, "nonzero layer module")
+    if len(comps) == 1 or not bipartite:  # so bipartite is [] or comps
+        guarantee = ("positive depth of layers over a connected bipartite graph"
+                     if bipartite else "nonzero layer module")
+        dec = _oracle_certificate(sub, module, len(bipartite), budget, guarantee)
         return _checked(dec, "oracle certificate")
     first = min(bipartite, key=lambda c: (len(c.vertices), c.vertices))
     head, rest = _induced(graph, first.vertices), sub.delete_vertices(first.vertices)
@@ -302,8 +298,6 @@ def decompose_power_general(
     for level in range(1, k + 1):
         base = _power_base(graph, pivot, level, budget)
         rest_layer = decompose_layer(rest_graph, k - level, budget)
-        if not rest_layer.spaces:
-            continue
         pieces.append((tensor(base, rest_layer), f"filtration layer {level}"))
 
     return _assembled(module_for(graph, k, KIND_POWER), pieces, f"power at k={k}")

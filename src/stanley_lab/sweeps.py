@@ -27,10 +27,9 @@ from .bounds import (
     KIND_POWER,
     KIND_S_MOD,
     _module_is_zero,
+    _sdepth_bound_with_source,
     depth_by_trung,
     lower_sdepth_power,
-    lower_sdepth_quotient_layers,
-    lower_sdepth_s_mod_power,
     module_for,
     question_experiment,
     stanley_verdict,
@@ -101,23 +100,21 @@ def _per_class(nmax: int, values: Callable[[Graph], list[dict]]) -> list[dict]:
 
 @_per_request
 def _sdepth(module: ModulePresentation, budget: int) -> tuple[int, bool]:
-    """(value, exact), memoized like ``isomorphism_classes``: within one
-    ``run_sweep``, the layer claim at k = 0 and the quotient claim at k = 1 share S/I."""
+    """(value, exact), the one oracle call of the three sdepth-bound claims, memoized like
+    ``isomorphism_classes``: one ``run_sweep`` asks once for S/I, layer k = 0 and quotient k = 1."""
     result = sdepth_exact(module, budget)
     return result.value, result.exact
 
 
-def _sdepth_bound_sweep(
-    nmax: int, ks: Sequence[int], kind: str, bound: Callable[[Graph], int], budget: int
-) -> list[dict]:
-    """sdepth(module) >= bound(graph) with an exact oracle value, per nonzero module."""
+def _sdepth_bound_sweep(nmax: int, ks: Sequence[int], kind: str, budget: int) -> list[dict]:
+    """sdepth(module) >= the kind's certified bound, exactly, per nonzero module."""
 
     def values(graph: Graph) -> list[dict]:
-        p = bound(graph)
         out = []
         for k in ks:
             if _module_is_zero(graph, k, kind):
                 continue
+            p = _sdepth_bound_with_source(graph, k, kind)[0]
             value, exact = _sdepth(module_for(graph, k, kind), budget)
             out.append(
                 {"k": k, "bound": p, "sdepth": value, "exact": exact, "ok": exact and value >= p}
@@ -131,14 +128,14 @@ def sweep_layer_bound(
     nmax: int, ks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """sdepth(I^k/I^{k+1}) >= p on every labeled graph, exactness required."""
-    return _sdepth_bound_sweep(nmax, ks, KIND_LAYER, lower_sdepth_quotient_layers, budget)
+    return _sdepth_bound_sweep(nmax, ks, KIND_LAYER, budget)
 
 
 def sweep_s_mod_bound(
     nmax: int, ks: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """sdepth(S/I^k) >= p (= n - l(I)) on every labeled graph."""
-    return _sdepth_bound_sweep(nmax, ks, KIND_S_MOD, lower_sdepth_s_mod_power, budget)
+    return _sdepth_bound_sweep(nmax, ks, KIND_S_MOD, budget)
 
 
 def _trung_ks(n: int) -> tuple[int, ...]:
@@ -206,15 +203,15 @@ def sweep_power_bound(
         p = graph.bipartite_component_count()
         out = []
         for k in ks:
-            result = sdepth_exact(module_for(graph, k, KIND_POWER), budget)
+            value, exact = _sdepth(module_for(graph, k, KIND_POWER), budget)
             out.append(
                 {
                     "k": k,
                     "bound": p + 1,
                     "claimed": lower_sdepth_power(graph, k),
-                    "sdepth": result.value,
-                    "exact": result.exact,
-                    "ok": result.value >= p + 1,
+                    "sdepth": value,
+                    "exact": exact,
+                    "ok": value >= p + 1,
                 }
             )
         return out

@@ -26,7 +26,7 @@ from stanley_lab import (
     verify,
 )
 from stanley_lab import constructions
-from stanley_lab.bounds import KIND_POWER, KINDS, module_for
+from stanley_lab.bounds import KIND_LAYER, KIND_POWER, KINDS, module_for
 from stanley_lab.graphs import Graph, enumerate_trees, parse_graph, preset
 from stanley_lab.sdepth import build_poset, partition_to_decomposition, search_partition
 
@@ -194,6 +194,50 @@ def test_power_general_matches_engine_bound():
 def test_power_general_rejects_edgeless():
     with pytest.raises(InputError):
         decompose_power_general(Graph.make(3, []), 1)
+
+
+def test_filtration_has_one_piece_per_level(monkeypatch):
+    """Every class with two or more edge-carrying components, on at most 6
+    vertices, at k <= 3: each ``power at k=...`` assembly, nested ones too,
+    has k + 1 pieces, as each filtration layer over the rest's edges is a
+    nonzero module."""
+    from stanley_lab.sweeps import isomorphism_classes
+
+    real_assembled = constructions._assembled
+    counts = []
+
+    def recording_assembled(module, pieces, context):
+        if context.startswith("power at k="):
+            counts.append((int(context.rsplit("=", 1)[1]), len(pieces)))
+        return real_assembled(module, pieces, context)
+
+    monkeypatch.setattr(constructions, "_assembled", recording_assembled)
+    for n in range(1, 7):
+        for graph in sorted({rep for _, rep in isomorphism_classes(n)}, key=lambda g: g.edges):
+            if sum(bool(c.edges) for c in graph.components()) >= 2:
+                for k in (1, 2, 3):
+                    decompose_power_general(graph, k)
+    assert len(counts) == 54  # 12 on at most 5 vertices (4 classes, k = 1, 2, 3), 42 on 6
+    assert all(pieces == k + 1 for k, pieces in counts)
+
+
+def test_failed_search_at_a_guaranteed_target_is_a_contradiction(monkeypatch, capsys):
+    """A "none" outcome where a theorem guarantees a partition raises
+    ``ContradictionError`` naming the target, the guarantee and the module,
+    and the CLI reports it as a failed claim (exit code 1)."""
+    from stanley_lab import SearchOutcome, cli
+
+    monkeypatch.setattr(constructions, "search_partition", lambda *args: SearchOutcome("none", None, 0))
+    graph = preset("path:3")
+    module = module_for(graph, 1, KIND_LAYER)
+    with pytest.raises(ContradictionError) as raised:
+        decompose_layer(graph, 1)
+    assert str(raised.value) == (
+        "no partition at target 1, but positive depth of layers over a connected "
+        f"bipartite graph guarantees one; module: {module.to_json()}"
+    )
+    assert cli.main(["construct", "--graph", "path:3", "--k", "1", "--kind", "layer"]) == 1
+    assert capsys.readouterr().err == f"CLAIM FAILURE: {raised.value}\n"
 
 
 def test_decompose_names_one_generator_per_kind():
@@ -554,7 +598,9 @@ def test_tracer_counts_every_verifier_walk(monkeypatch):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     from tracing import Tracer
+    from workloads import import_library
 
+    import_library()  # the tracer rebinds names in every library module, sweeps included
     requests = certify_trees_requests()
     with Tracer() as tracer:
         for build, graph, k in requests:

@@ -57,3 +57,21 @@ def test_forest_depth_and_sdepth_reach_the_diameter_bound():
                 rows += 1
                 above_p += bound > p
     assert (rows, above_p) == (56, 5)
+
+
+def test_six_vertex_forests_reach_the_diameter_bound():
+    """Every forest on 6 vertices, S/I^k at k <= 2."""
+    rows = above_p = 0
+    for graph in _classes(6):
+        comps = graph.components()
+        if not all(c.tree for c in comps):
+            continue
+        p, d = len(comps), largest_diameter(graph)
+        for k in (1, 2):
+            bound = max(-(-(d - k + 2) // 3) + p - 1, p)
+            module = module_for(graph, k, KIND_S_MOD)
+            assert depth_exact(module) >= bound
+            assert sdepth_exact(module).value >= bound
+            rows += 1
+            above_p += bound > p
+    assert (rows, above_p) == (40, 13)
