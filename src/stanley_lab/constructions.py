@@ -26,10 +26,9 @@ variables free, and ``pin`` fixes a free variable at exponent 0; they and
 ``shift`` derive each piece's module, and ``concat`` is given the whole's.  An oracle
 search for a subgraph H counts the n - |V(H)| variables off H toward every
 rho, so it runs at the guaranteed target plus n - |V(H)|; isolated vertices
-of H count toward the guarantee itself.  Every oracle search takes one path
-(``build_poset``, ``search_partition``, ``partition_to_decomposition``), and
-the tree recursion runs its two single-use ones in the frame of their
-assembly (``shift_module``, ``pin_module``), so each certificate is its piece.
+of H count toward the guarantee itself.  Every oracle search takes one path,
+on the plain module of its subgraph: ``build_poset``, ``search_partition``
+and ``partition_to_decomposition``.
 
 Every assembled certificate and every intermediate piece is verified once per
 request: each public call opens a session for its request only (nested calls
@@ -37,8 +36,9 @@ join it), one memo of the subproblems, each built once, and of the verified
 certificates (a rejection is never kept); ``sweeps`` keeps its memos in the
 same sessions.  ``_assembled`` proves a concat and its pieces not yet verified
 in one ``verify`` walk given the pieces, and records them there.  Every oracle
-certificate is proven where it is used: by that walk where it is a piece, by
-``_checked`` where it is returned or fed to ``tensor``, ``pin`` or ``shift``.
+certificate is proven where a public call returns it, by ``_checked``, or as
+the piece it becomes: the ``pin``, ``shift`` or ``tensor`` image that an
+assembly's walk proves (a rejected walk ``_checked``s each piece alone).
 A failed check or a failed search at a theorem-guaranteed target raises
 ``ContradictionError`` because existence is proven, so the only honest
 explanations are a bug or a counterexample.
@@ -66,10 +66,8 @@ from .stanley import (
     StanleySpace,
     concat,
     pin,
-    pin_module,
     shared_z,
     shift,
-    shift_module,
     tensor,
     verify,
 )
@@ -236,11 +234,10 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
             module, (StanleySpace(generator, shared_z(frozenset(range(1, n + 1)))),)
         )
     if k == 1:
-        return _checked(_oracle_certificate(tree, module, 2, budget, _CO_SPREAD), "oracle certificate")
+        return _oracle_certificate(tree, module, 2, budget, _CO_SPREAD)
     adj = tree.adjacency()
     leaf = min(v for v, ws in adj.items() if len(ws) == 1)
     (stem,) = adj[leaf]
-    leaf_shift = tuple(int(v == leaf) for v in range(1, n + 1))
     pieces = []
 
     # monomials without the leaf variable: the power of the smaller tree, in
@@ -250,24 +247,16 @@ def _tree_power(tree: Graph, k: int, budget: int) -> StanleyDecomposition:
 
     # leaf-multiples avoiding the stem: the leaf's only neighbor is the stem,
     # so dividing by the leaf lands in the power of the doubly-deleted tree,
-    # with the leaf variable acting freely and the stem set to 0; searched in
-    # that frame, x_leaf (U / (L + x_stem U)), where the pinned stem leaves the
-    # poset's corner: one below the target of U/L, the power's own module
+    # with the leaf variable acting freely and the stem set to 0
     pruned = tree.delete_vertices({leaf, stem})
     if pruned.has_edges():
-        frame = shift_module(pin_module(module_for(pruned, k, KIND_POWER), (stem,)), leaf_shift)
-        only = _oracle_certificate(pruned, frame, 0, budget, _DEPTH_ONE)
-        pieces.append((only, "leaf-only part"))
+        base = _oracle_certificate(pruned, module_for(pruned, k, KIND_POWER), 1, budget, _DEPTH_ONE)
+        leaf_shift = tuple(int(v == leaf) for v in range(1, n + 1))
+        pieces.append((shift(pin(base, (stem,)), leaf_shift), "leaf-only part"))
 
-    # multiples of the leaf edge: the previous power, shifted by the edge; at
-    # k = 2 that is the oracle's, searched in the shifted frame at its target
+    # multiples of the leaf edge: the previous power, shifted by the edge
     edge_shift = tuple(int(v in (leaf, stem)) for v in range(1, n + 1))
-    if k == 2:
-        frame = shift_module(module_for(tree, 1, KIND_POWER), edge_shift)
-        edge = _oracle_certificate(tree, frame, 2, budget, _CO_SPREAD)
-    else:
-        edge = shift(_tree_power(tree, k - 1, budget), edge_shift)
-    pieces.append((edge, "edge-multiple part"))
+    pieces.append((shift(_tree_power(tree, k - 1, budget), edge_shift), "edge-multiple part"))
 
     return _assembled(module, pieces, f"tree power on {sorted(tree.vertices)} at k={k}")
 
@@ -317,9 +306,8 @@ def _power_base(
         # the n - |comp| variables off the component count toward the value
         result = sdepth_exact(module, budget)
         if result.value >= 1 + graph.n - len(comp.vertices):
-            dec = partition_to_decomposition(result.poset, result.partition, module)
-            return _checked(dec, "best-effort component power")
-    return _checked(_oracle_certificate(sub, module, 1, budget, _DEPTH_ONE), "oracle certificate")
+            return partition_to_decomposition(result.poset, result.partition, module)
+    return _oracle_certificate(sub, module, 1, budget, _DEPTH_ONE)
 
 
 # The generator of each module kind, for callers that choose the kind at run time.

@@ -10,9 +10,9 @@ the corner reaches every generator exponent and each u_j with j in Z of a
 space (u, Z), and exceeds each u_j with j off Z (see ``verify``).  Spaces
 share their Z sets: each new Z goes through ``shared_z``, which keeps one
 stored copy per distinct set, at most 2^n of them over n variables.
-``tensor``, ``shift`` and ``pin`` derive the module they decompose from their
-inputs (by ``shift_module`` and ``pin_module`` for the last two), which keeps
-lower <= upper, so only ``make``, for input, scans for it.
+``tensor``, ``shift`` and ``pin`` each derive the module they decompose from
+their input, which keeps lower <= upper, so only ``make``, for input, scans
+for it.
 """
 
 from __future__ import annotations
@@ -305,33 +305,21 @@ def tensor(d1: StanleyDecomposition, d2: StanleyDecomposition) -> StanleyDecompo
     return StanleyDecomposition(module, spaces)
 
 
-def shift_module(module: ModulePresentation, m: Multidegree) -> ModulePresentation:
-    """x^m U / x^m L.  Moving the generators of an ideal by m keeps them
-    minimal and in lexicographic order."""
-    n, lower, upper = module
-    moved = (MonomialIdeal(n, tuple(deg_add(g, m) for g in ideal.gens)) for ideal in (lower, upper))
-    return ModulePresentation(n, *moved)
-
-
-def pin_module(module: ModulePresentation, ws: Iterable[int]) -> ModulePresentation:
-    """U / (L + x_W U) for variables W in 1..n; distinct unit vectors are minimal."""
-    n, lower, upper = module
-    units = MonomialIdeal(n, tuple(sorted(tuple(int(j == w) for j in range(1, n + 1)) for w in ws)))
-    return ModulePresentation(n, lower + units * upper, upper)
-
-
 def shift(dec: StanleyDecomposition, m: Sequence[int]) -> StanleyDecomposition:
     """Multiply every space by x^m: (u, Z) -> (u + m, Z), a decomposition of
-    ``shift_module``.  Only m is checked."""
-    m = as_degree(m, dec.module.n)
+    x^m U / x^m L.  Only m is checked: moving the generators of an ideal by m
+    keeps them minimal and in lexicographic order."""
+    n, lower, upper = dec.module
+    m = as_degree(m, n)
+    moved = (MonomialIdeal(n, tuple(deg_add(g, m) for g in ideal.gens)) for ideal in (lower, upper))
     spaces = tuple(StanleySpace(deg_add(s.u, m), s.Z) for s in dec.spaces)
-    return StanleyDecomposition(shift_module(dec.module, m), spaces)
+    return StanleyDecomposition(ModulePresentation(n, *moved), spaces)
 
 
 def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposition:
     """Fix variables W that act freely in dec at exponent 0: (u, Z) -> (u, Z - W),
-    a decomposition of ``pin_module``."""
-    n = dec.module.n
+    a decomposition of U / (L + x_W U)."""
+    n, lower, upper = dec.module
     ws = frozenset(map(as_int, variables))
     if not ws <= frozenset(range(1, n + 1)):
         raise InputError(f"pin variables {sorted(ws)} out of range 1..{n}")
@@ -340,7 +328,9 @@ def pin(dec: StanleyDecomposition, variables: Iterable[int]) -> StanleyDecomposi
         raise InputError(f"cannot pin variables {sorted(clash)} that are not free")
     cut = {z: shared_z(z - ws) for z in {s.Z for s in dec.spaces}}
     spaces = tuple(StanleySpace(s.u, cut[s.Z]) for s in dec.spaces)
-    return StanleyDecomposition(pin_module(dec.module, ws), spaces)
+    units = sorted(tuple(int(j == w) for j in range(1, n + 1)) for w in ws)
+    pinned = MonomialIdeal(n, tuple(units))  # distinct unit vectors are minimal
+    return StanleyDecomposition(ModulePresentation(n, lower + pinned * upper, upper), spaces)
 
 
 def concat(

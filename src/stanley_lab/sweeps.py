@@ -208,7 +208,6 @@ def sweep_power_bound(
                 {
                     "k": k,
                     "bound": p + 1,
-                    "claimed": lower_sdepth_power(graph, k),
                     "sdepth": value,
                     "exact": exact,
                     "ok": value >= p + 1,

@@ -3,6 +3,7 @@ certified bound, and never overshoots the exact oracle."""
 
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 
@@ -473,15 +474,15 @@ def test_broken_combinator_raises_contradiction(monkeypatch, combinator, build, 
 
 
 def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
-    """The oracle moves the last space of the leaf-only part of I^2 of path:4
+    """``shift`` moves the last space of the leaf-only part of I^2 of path:4
     to the front of its edge-multiple part: the assembly is unchanged and valid,
     the joint walk rejects it, and the message names the first bad piece."""
-    real_oracle, real_verify = constructions._oracle_certificate, constructions.verify
+    real_shift, real_verify = constructions.shift, constructions.verify
     stash, joint = [], []
 
-    def moving(sub, module, *args):
-        out = real_oracle(sub, module, *args)
-        if module.lower.gens:  # the leaf-only part, the one oracle piece with a lower ideal
+    def moving(dec, m):
+        out = real_shift(dec, m)
+        if out.module.lower.gens:  # the leaf-only part, the one shifted piece with a lower ideal
             stash.append(out.spaces[-1])
             return StanleyDecomposition(out.module, out.spaces[:-1])
         if stash:  # the next edge-multiple part
@@ -494,7 +495,7 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
             joint.append((verify(whole).valid, report.valid))
         return report
 
-    monkeypatch.setattr(constructions, "_oracle_certificate", moving)
+    monkeypatch.setattr(constructions, "shift", moving)
     monkeypatch.setattr(constructions, "verify", recorded)
     with pytest.raises(ContradictionError) as info:
         decompose_power_tree(preset("path:4"), 2)
@@ -505,71 +506,63 @@ def test_space_moved_between_pieces_names_the_first_bad_piece(monkeypatch):
     assert constructions._SESSION.get() is None
 
 
-def old_oracle_search(graph, k, target):
-    """The certificate and node count of the search of I(graph)^k at target
-    plus the variables off the graph, as the oracle ran it before framing."""
-    module = module_for(graph, k, KIND_POWER)
-    poset = build_poset(module)
-    outcome = search_partition(poset, target + graph.n - graph.num_vertices)
-    return partition_to_decomposition(poset, outcome.partition, module), outcome.nodes
+def test_oracle_searches_only_plain_modules(monkeypatch):
+    """Every module the oracle searches, over the seed-0 certify-trees requests
+    and the multi-component graphs, is ``module_for(sub, j, kind)`` of its own
+    subgraph, never a shifted or pinned image of one; the seed-0 oracle posets
+    span 11,380 box points."""
+    searched, box_points = [], []
+    real_oracle, real_build = constructions._oracle_certificate, constructions.build_poset
 
+    def recording_oracle(sub, module, *args):
+        searched.append((sub, module))
+        return real_oracle(sub, module, *args)
 
-def test_framed_oracle_pieces_are_the_old_images(monkeypatch):
-    """On every tree with 3 to 7 vertices, the leaf-only and edge-multiple
-    oracle pieces of I^k (k = 2, 3), searched
-    in their assembly's frame, are exactly ``shift(pin(base, (stem,)), leaf)`` and
-    ``shift(_tree_power(tree, 1), edge)``: the same spaces in the same order,
-    found in as many nodes, and the unframed module is never searched."""
-    searched, assembled = {}, []
-    real_build, real_search = constructions.build_poset, constructions.search_partition
-    real_assembled = constructions._assembled
-
-    def recording_build(module):
+    def measuring_build(module):
         poset = real_build(module)
-        searched[poset] = module
+        box_points.append(math.prod(g + 1 for g in poset.g))
         return poset
 
-    def recording_search(poset, target, budget):
+    monkeypatch.setattr(constructions, "_oracle_certificate", recording_oracle)
+    monkeypatch.setattr(constructions, "build_poset", measuring_build)
+    for build, graph, k in certify_trees_requests():
+        build(graph, k)
+    seed0_points = sum(box_points)
+    for graph in map(parse_graph, MULTI_COMPONENT):
+        for k in (1, 2, 3):
+            decompose_s_mod_power(graph, k)
+            decompose_power_general(graph, k)
+    assert len(box_points) == len(searched) > 0
+    for sub, module in searched:
+        plain = {module_for(sub, j, kind) for kind in KINDS for j in range(kind != KIND_LAYER, 4)}
+        assert module in plain, (sub, module)
+    assert seed0_points == 11380
+
+
+@pytest.mark.parametrize(
+    "spec, k, searches, nodes",
+    [
+        ("path:3+path:2", 2, 3, 7),
+        ("path:3+path:2", 3, 4, 9),
+        ("path:4+path:2", 2, 5, 16),
+        ("path:4+path:2", 3, 7, 19),
+    ],
+)
+def test_tree_pivot_power_searches_pinned(monkeypatch, spec, k, searches, nodes):
+    """A tree pivot's I^j is searched once per request: level 1 of the
+    filtration and the edge-multiple part of level 2 share one certificate."""
+    counted = Counter()
+    real_search = constructions.search_partition
+
+    def counting_search(poset, target, budget):
         outcome = real_search(poset, target, budget)
-        searched[searched.pop(poset)] = outcome.nodes
+        counted["searches"] += 1
+        counted["nodes"] += outcome.nodes
         return outcome
 
-    def recording_assembled(module, pieces, context):
-        assembled.append((context, dict((c, dec) for dec, c in pieces)))
-        return real_assembled(module, pieces, context)
-
-    monkeypatch.setattr(constructions, "build_poset", recording_build)
-    monkeypatch.setattr(constructions, "search_partition", recording_search)
-    monkeypatch.setattr(constructions, "_assembled", recording_assembled)
-    compared = Counter()
-    for tree in (tree for n in range(3, 8) for tree in enumerate_trees(n)):
-        n, adj = tree.n, tree.adjacency()
-        leaf = min(v for v, ws in adj.items() if len(ws) == 1)
-        (stem,) = adj[leaf]
-        leaf_shift = tuple(int(v == leaf) for v in range(1, n + 1))
-        edge_shift = tuple(int(v in (leaf, stem)) for v in range(1, n + 1))
-        pruned = tree.delete_vertices({leaf, stem})
-        for k in (2, 3):
-            searched.clear()
-            assembled.clear()
-            decompose_power_tree(tree, k)
-            parts = dict(assembled)
-            top, square = (parts[f"tree power on {sorted(tree.vertices)} at k={j}"] for j in (k, 2))
-            # the edge-multiple oracle piece of I^2, which I^3 reaches through shift
-            base, nodes = old_oracle_search(tree, 1, 2)
-            assert square["edge-multiple part"] == shift(base, edge_shift)
-            assert searched[square["edge-multiple part"].module] == nodes
-            assert module_for(tree, 1, KIND_POWER) not in searched
-            compared["edge-multiple"] += 1
-            if pruned.has_edges():
-                base, nodes = old_oracle_search(pruned, k, 1)
-                assert top["leaf-only part"] == shift(pin(base, (stem,)), leaf_shift)
-                assert searched[top["leaf-only part"].module] == nodes
-                assert base.module not in searched
-                compared["leaf-only"] += 1
-            else:
-                assert "leaf-only part" not in top
-    assert compared == {"edge-multiple": 2 * 23, "leaf-only": 2 * 18}  # 23 trees, 18 with a leaf-only part
+    monkeypatch.setattr(constructions, "search_partition", counting_search)
+    decompose_power_general(parse_graph(spec), k)
+    assert counted == {"searches": searches, "nodes": nodes}
 
 
 def test_verifier_walk_totals_pinned(monkeypatch):
@@ -588,13 +581,13 @@ def test_verifier_walk_totals_pinned(monkeypatch):
     monkeypatch.setattr(constructions, "verify", counted_verify)
     for build, graph, k in certify_trees_requests():
         build(graph, k)
-    assert totals == {"verify": 53, "verify_spaces": 1619, "joint": 133, "joint_spaces": 6113}
+    assert totals == {"verify": 49, "verify_spaces": 1545, "joint": 133, "joint_spaces": 6113}
 
 
 def test_tracer_counts_every_verifier_walk(monkeypatch):
     """The benchmark's tracer wraps ``stanley.verify``, the one verifier walk,
-    so on the seed-0 certify-trees requests it sees the 53 plain walks and the
-    133 walks with pieces, over 1,619 + 6,113 spaces, all inside a generator."""
+    so on the seed-0 certify-trees requests it sees the 49 plain walks and the
+    133 walks with pieces, over 1,545 + 6,113 spaces, all inside a generator."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
     from tracing import Tracer
@@ -606,8 +599,8 @@ def test_tracer_counts_every_verifier_walk(monkeypatch):
         for build, graph, k in requests:
             getattr(constructions, build.__name__)(graph, k)  # the traced binding
     totals = tracer.layer_totals()
-    assert totals["stanley.verify.calls"] == totals["constructions.decompose.reverifications"] == 186
-    assert totals["stanley.verify.spaces"] == 7732
+    assert totals["stanley.verify.calls"] == totals["constructions.decompose.reverifications"] == 182
+    assert totals["stanley.verify.spaces"] == 7658
     assert totals["stanley.verify.invalid"] == 0
 
 

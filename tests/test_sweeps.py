@@ -154,7 +154,6 @@ def reference_power_bound(nmax, ks, budget):
                     "graph": graph.to_json(),
                     "k": k,
                     "bound": p + 1,
-                    "claimed": lower_sdepth_power(graph, k),
                     "sdepth": result.value,
                     "exact": result.exact,
                     "ok": result.value >= p + 1,
